@@ -14,6 +14,7 @@ GF(p)[z].
 0
 """
 
+from . import crt
 from .behavior import (
     AdmissibleInputQuery,
     SystemPair,
@@ -103,18 +104,12 @@ __version__ = "0.1.0"
 
 
 def kernel_of_pair(a: Matrix, b: Matrix, method: str = "auto"):
-    """ker(f1|f2) for any supported ring; returns a KernelPairResult-like
-    object whose ker_bar is the canonical presentation.
+    """ker(f1|f2) for any supported ring: a KernelPairResult (a
+    LocalGlobalResult over Z/m and (Z/m)[z]) whose ker_bar is the
+    canonical presentation.
 
-    Fields use the projection method, square-free Z/m the CRT gluing,
-    GF(p)[z] the degree-sweep kernel; pass an explicit method name to
-    override on the field path.
+    ``auto`` runs projection over GF(p), per-prime gluing over Z/m and
+    Hermite kernels over GF(p)[z]; a method that does not apply to the
+    ring raises MethodUnavailableError.  See ``crt.kernel_pair``.
     """
-    ring = a.ring
-    if isinstance(ring, PrimeField):
-        return kernel_pair_field(a, b, method="projection" if method == "auto" else method)
-    if isinstance(ring, ModRing):
-        return kernel_pair_crt(a, b)
-    if ring.coeff_is_prime:
-        return kernel_pair_poly(a, b)[0]
-    return kernel_pair_poly_crt(a, b)
+    return crt.kernel_pair(a, b, method)[0]

@@ -10,15 +10,16 @@ to the polynomial one through the pencil zI - A over GF(p)[z].
 import itertools
 from dataclasses import dataclass, field
 
+from .crt import solver
 from .errors import (
+    ConsistencyViolatedError,
     DimensionMismatchError,
     NotAFieldError,
     OracleTooLargeError,
     RingMismatchError,
 )
-from .linalg import solve
 from .matrix import Matrix
-from .rings import ModRing, PolyRing, PrimeField, crt_combine
+from .rings import ModRing, PolyRing, PrimeField
 
 
 @dataclass(frozen=True)
@@ -110,21 +111,10 @@ def _matrix_power(a: Matrix, k: int) -> Matrix:
 
 
 def _solve_ring(m: Matrix, rhs, limit: int = 10 ** 6):
-    """Some x with M x = rhs over a prime field or Z/m, or None."""
+    """Some x with M x = rhs, or None."""
     ring = m.ring
-    if isinstance(ring, PrimeField):
-        return solve(m, rhs)
-    if ring.square_free:
-        locals_ = []
-        for p in ring.primes:
-            fp = PrimeField(p)
-            mp = m.map_entries(lambda e: e % p, ring=fp)
-            xp = solve(mp, tuple(e % p for e in rhs))
-            if xp is None:
-                return None
-            locals_.append(xp)
-        return tuple(crt_combine([xp[i] for xp in locals_], ring.primes, ring.m)
-                     for i in range(m.ncols))
+    if not isinstance(ring, ModRing) or ring.square_free:
+        return solver(m)(rhs)
     # repeated prime factors: per-prime solvability can lie, enumerate
     if ring.m ** m.ncols > limit:
         raise OracleTooLargeError(
@@ -162,7 +152,8 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     if x0 is None:
         return None
     traj = simulate(sys, x0, inputs)
-    assert traj.states[-1] == traj.states[0], "periodic solve must close the loop"
+    if traj.states[-1] != traj.states[0]:
+        raise ConsistencyViolatedError("the periodic solve did not close the loop")
     return traj
 
 

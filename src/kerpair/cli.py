@@ -27,11 +27,12 @@ from pathlib import Path
 
 from . import crt, polykernel
 from .behavior import AdmissibleInputQuery, SystemPair, admissible, simulate
+from .crt import kernel as matrix_kernel
 from .errors import (
+    ConsistencyViolatedError,
     KerpairError,
     MatrixParseError,
     MethodUnavailableError,
-    NotSquareFreeError,
 )
 from .kernel import (
     Automorphism,
@@ -41,9 +42,9 @@ from .kernel import (
     kernel_pair_oracle,
     kernel_pair_projection,
 )
-from .linalg import Submodule, nullspace, random_invertible, solve
+from .linalg import Submodule, random_invertible
 from .matrix import Matrix, hstack
-from .rings import ModRing, PolyRing, PrimeField, crt_combine, make_ring
+from .rings import ModRing, PolyRing, PrimeField, make_ring, split_ring
 
 DEFAULT_SEED = 1729
 
@@ -200,12 +201,10 @@ def _submodule_doc(sub: Submodule) -> dict:
         "rank": list(sub.rank),
         "generators": [_vector_doc(sub.ring, g) for g in sub.generators()],
         "components": [_submodule_doc(c) for c in sub.components],
+        "primes": list(split_ring(sub.ring).primes),
     }
     if sub.kind == "components":
-        doc["primes"] = list(sub.ring.primes)
         doc["size"] = sub.size()
-    else:
-        doc["primes"] = list(sub.ring.coeff_primes)
     return doc
 
 
@@ -232,27 +231,6 @@ def _emit(doc: dict, args, out) -> int:
 
 
 # -- kernel of a single matrix -----------------------------------------------
-
-
-def matrix_kernel(a: Matrix) -> Submodule:
-    """Canonical kernel of one matrix, dispatched on the ring."""
-    ring = a.ring
-    if isinstance(ring, PrimeField):
-        return nullspace(a)
-    if isinstance(ring, ModRing):
-        if not ring.square_free:
-            raise NotSquareFreeError(
-                f"Z/{ring.m} does not decompose; modulus is not square-free")
-        comps = [nullspace(crt.reduce_matrix(a, i)) for i in range(len(ring.primes))]
-        return Submodule(ring, a.ncols, "components", components=tuple(comps))
-    if ring.coeff_is_prime:
-        return polykernel.poly_kernel(a).submodule
-    if not ring.coeff_square_free:
-        raise NotSquareFreeError(
-            f"(Z/{ring.n})[z] does not decompose; coefficient modulus is not square-free")
-    comps = [polykernel.poly_kernel(polykernel.reduce_poly_matrix(a, i)).submodule
-             for i in range(len(ring.coeff_primes))]
-    return Submodule(ring, a.ncols, "poly_components", components=tuple(comps))
 
 
 def cmd_kernel(args, out) -> int:
@@ -286,64 +264,19 @@ def _degenerate_notes(a: Matrix, b: Matrix) -> list:
     return notes
 
 
-def _auto_method(ring) -> str:
-    if isinstance(ring, PrimeField):
-        return "projection"
-    if isinstance(ring, ModRing):
-        return "crt"
-    return "poly"
-
-
-def kernel_pair_any(a: Matrix, b: Matrix, method: str = "auto"):
-    """(ker_bar, full result object, witness or None) for any ring."""
-    ring = a.ring
-    if method == "auto":
-        method = _auto_method(ring)
-    if method == "oracle":
-        if isinstance(ring, PolyRing):
-            raise MethodUnavailableError("the enumeration oracle cannot run over "
-                                         "an infinite polynomial ring")
-        sub = kernel_pair_oracle(a, b)
-        return sub, None, None
-    if isinstance(ring, PrimeField):
-        if method == "projection":
-            result, witness = kernel_pair_projection(a, b)
-            return result.ker_bar, result, witness
-        if method in ("preimage", "quotient"):
-            result = kernel_pair_field(a, b, method=method)
-            return result.ker_bar, result, None
-        raise MethodUnavailableError(f"method {method!r} does not apply to {ring!r}")
-    if isinstance(ring, ModRing):
-        if method != "crt":
-            raise MethodUnavailableError(
-                f"method {method!r} does not apply to {ring!r}; use auto or oracle")
-        result = crt.kernel_pair_crt(a, b)
-        return result.glued, result, None
-    if method != "poly":
-        raise MethodUnavailableError(
-            f"method {method!r} does not apply to {ring!r}; use auto")
-    if ring.coeff_is_prime:
-        result, witness = polykernel.kernel_pair_poly(a, b)
-        return result.ker_bar, result, witness
-    result = polykernel.kernel_pair_poly_crt(a, b)
-    return result.glued, result, None
-
-
 def cmd_kernel_pair(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
-    ker_bar, result, witness = kernel_pair_any(a, b, method=args.method)
+    result, witness = crt.kernel_pair(a, b, method=args.method)
     doc = {"command": "kernel-pair", "ring": _ring_doc(ring),
            "matrices": [args.name_a, args.name_b], "method": args.method,
-           "ker_bar": _submodule_doc(ker_bar),
+           "ker_bar": _submodule_doc(result.ker_bar),
            "notes": _degenerate_notes(a, b),
            "status": "ok", "exit_code": 0}
-    if result is not None and hasattr(result, "ker_f1"):
+    if result.ker_f1 is not None:
         doc["ker_f1"] = _submodule_doc(result.ker_f1)
         doc["ker_pair"] = _submodule_doc(result.ker_pair)
-    if result is not None and hasattr(result, "glued_f1"):
-        doc["ker_f1"] = _submodule_doc(result.glued_f1)
-        doc["ker_pair"] = _submodule_doc(result.glued_pair)
+    if isinstance(result, crt.LocalGlobalResult):
         doc["per_prime"] = [
             {"prime": p, "ker_bar": _submodule_doc(r.ker_bar)}
             for p, r in zip(result.primes, result.local_results)]
@@ -364,7 +297,7 @@ def cmd_kernel_pair(args, out) -> int:
         print(f"ring {_ring_doc(ring)}", file=out)
         for note in doc["notes"]:
             print(f"note: {note}", file=out)
-        _print_submodule(f"ker({args.name_a}|{args.name_b})", ker_bar, out)
+        _print_submodule(f"ker({args.name_a}|{args.name_b})", result.ker_bar, out)
         if "ker_f1" in doc:
             print(f"ker({args.name_a}) rank: {doc['ker_f1']['rank']}", file=out)
             print(f"joint kernel rank: {doc['ker_pair']['rank']}", file=out)
@@ -398,39 +331,19 @@ def cmd_idempotents(args, out) -> int:
 # -- membership --------------------------------------------------------------
 
 
-def member_witness(a: Matrix, b: Matrix, u) -> tuple | None:
-    """x with A x + B u = 0, or None; dispatched on the ring."""
-    ring = a.ring
-    if isinstance(ring, PrimeField):
-        return solve(a, (-b).matvec(u))
-    if isinstance(ring, ModRing):
-        if not ring.square_free:
-            raise NotSquareFreeError(
-                f"membership over Z/{ring.m} needs a square-free modulus")
-        locals_ = []
-        for i, p in enumerate(ring.primes):
-            ap, bp = crt.reduce_matrix(a, i), crt.reduce_matrix(b, i)
-            xp = solve(ap, (-bp).matvec(tuple(e % p for e in u)))
-            if xp is None:
-                return None
-            locals_.append(xp)
-        return tuple(crt_combine([xp[i] for xp in locals_], ring.primes, ring.m)
-                     for i in range(a.ncols))
-    if ring.coeff_is_prime:
-        return polykernel.poly_member(a, b, u)
-    raise NotSquareFreeError(f"membership over {ring!r} is not supported")
-
-
 def cmd_member(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     u = parse_vector(ring, args.vector, b.ncols)
-    x = member_witness(a, b, u)
+    if isinstance(ring, PolyRing) and not ring.coeff_is_prime:
+        raise MethodUnavailableError(f"membership over {ring!r} is not supported")
+    x = crt.solver(a)((-b).matvec(u))
     doc = {"command": "member", "ring": _ring_doc(ring),
            "vector": _vector_doc(ring, u), "member": x is not None}
     if x is not None:
         residual = tuple(ring.add(p, q) for p, q in zip(a.matvec(x), b.matvec(u)))
-        assert all(e == ring.zero for e in residual), "witness must verify exactly"
+        if any(e != ring.zero for e in residual):
+            raise ConsistencyViolatedError(f"witness {x!r} leaves residual {residual!r}")
         doc.update(witness=_vector_doc(ring, x), verified=True,
                    status="ok", exit_code=0)
     else:
@@ -472,7 +385,9 @@ def cmd_simulate(args, out) -> int:
         if not args.json:
             print("not admissible under the periodic boundary", file=out)
         return _emit(doc, args, out)
-    assert not traj.check(sys_pair)
+    violations = traj.check(sys_pair)
+    if violations:
+        raise ConsistencyViolatedError("; ".join(violations))
     doc.update(states=[_vector_doc(ring, x) for x in traj.states],
                inputs=[_vector_doc(ring, u) for u in traj.inputs],
                status="ok", exit_code=0)
@@ -501,61 +416,43 @@ def _verify_field(a: Matrix, b: Matrix, rng, trials: int) -> list:
 
     result, witness = kernel_pair_projection(a, b)
     checks.append(("splitting-witness", check_witness(a, b, result, witness)))
-
-    card = []
-    lhs = result.ker_pair.size()
-    rhs = result.ker_f1.size() * result.ker_bar.size()
-    if lhs != rhs:
-        card.append(f"|ker_pair| = {lhs} but |ker_f1|*|ker_bar| = {rhs}")
-    checks.append(("cardinality", card))
-
-    if a.ring.size ** b.ncols <= 10 ** 5:
-        oracle = kernel_pair_oracle(a, b)
-        checks.append(("oracle", [] if oracle == result.ker_bar else
-                       [f"oracle rank {oracle.basis.ncols} != computed "
-                        f"rank {result.ker_bar.basis.ncols}"]))
-
-    ident = []
-    for _ in range(trials):
-        psi1 = Automorphism(random_invertible(a.ring, a.ncols, rng))
-        psi2 = Automorphism(random_invertible(a.ring, b.ncols, rng))
-        psi = Automorphism(random_invertible(a.ring, a.nrows, rng))
-        ident.extend(check_identities(a, b, psi1, psi2, psi))
-    checks.append(("automorphism-identities", ident))
-    return checks
+    return checks + _finite_checks(a, b, result, [("", a, b)], rng, trials)
 
 
 def _verify_zmod(a: Matrix, b: Matrix, rng, trials: int) -> list:
     ring = a.ring
     checks = [("idempotent-laws", crt.idempotents(ring.m).check_laws())]
     result = crt.kernel_pair_crt(a, b)
+    checks.append(("base-change", [v for i in range(len(ring.primes))
+                                   for v in crt.base_change_violations(result, i)]))
+    split = split_ring(ring)
+    fields = [(f"mod {p}: ", split.reduce_matrix(a, i), split.reduce_matrix(b, i))
+              for i, p in enumerate(split.primes)]
+    return checks + _finite_checks(a, b, result, fields, rng, trials)
 
-    base = []
-    for i in range(len(ring.primes)):
-        base.extend(crt.base_change_check(a, b, i))
-    checks.append(("base-change", base))
 
+def _finite_checks(a: Matrix, b: Matrix, result, fields, rng, trials: int) -> list:
+    """Cardinality, the oracle, and the automorphism identities over each
+    (label, A, B) of ``fields``, the instance itself or its reductions."""
     card = []
-    lhs = result.glued_pair.size()
-    rhs = result.glued_f1.size() * result.glued.size()
+    lhs = result.ker_pair.size()
+    rhs = result.ker_f1.size() * result.ker_bar.size()
     if lhs != rhs:
         card.append(f"|ker_pair| = {lhs} but |ker_f1|*|ker_bar| = {rhs}")
-    checks.append(("cardinality", card))
+    checks = [("cardinality", card)]
 
-    if ring.size ** b.ncols <= 10 ** 5:
+    if a.ring.size ** b.ncols <= 10 ** 5:
         oracle = kernel_pair_oracle(a, b)
-        checks.append(("oracle", [] if oracle == result.glued else
-                       ["glued kernel disagrees with enumeration"]))
+        checks.append(("oracle", [] if oracle == result.ker_bar else
+                       [f"oracle dim {oracle.dim} != computed dim {result.ker_bar.dim}"]))
 
     ident = []
-    for i in range(len(ring.primes)):
-        ai, bi = crt.reduce_matrix(a, i), crt.reduce_matrix(b, i)
+    for label, fa, fb in fields:
         for _ in range(trials):
-            psi1 = Automorphism(random_invertible(ai.ring, ai.ncols, rng))
-            psi2 = Automorphism(random_invertible(ai.ring, bi.ncols, rng))
-            psi = Automorphism(random_invertible(ai.ring, ai.nrows, rng))
-            ident.extend(f"mod {ring.primes[i]}: {v}"
-                         for v in check_identities(ai, bi, psi1, psi2, psi))
+            psi1 = Automorphism(random_invertible(fa.ring, fa.ncols, rng))
+            psi2 = Automorphism(random_invertible(fa.ring, fb.ncols, rng))
+            psi = Automorphism(random_invertible(fa.ring, fa.nrows, rng))
+            ident.extend(label + v for v in check_identities(fa, fb, psi1, psi2, psi))
     checks.append(("automorphism-identities", ident))
     return checks
 
@@ -567,7 +464,7 @@ def _verify_poly(a: Matrix, b: Matrix, rng, trials: int) -> list:
 
     exact = []
     ab = hstack(a, b)
-    for col in polykernel.poly_kernel(ab).basis.columns():
+    for col in result.ker_pair.basis.columns():
         if any(e != ring.zero for e in ab.matvec(col)):
             exact.append("joint kernel basis column fails A.K = 0")
     checks.append(("kernel-exactness", exact))

@@ -1,27 +1,33 @@
-"""Local-global kernel computation over square-free Z/m.
+"""The one ring dispatch, and local-global kernels over square-free rings.
 
-Z/m with m = p1 ... ps square-free is a product of prime fields; the
-structural idempotents e_i realize the factors inside Z/m.  A kernel
-pair over Z/m is computed by solving over each GF(p_i) and gluing
+Every question -- the kernel of a matrix, the kernel of a pair, a
+solution of A x = c -- is answered by a local backend: elimination over
+GF(p) or Hermite reduction over GF(p)[z].  Z/m and (Z/m)[z] with
+m = p1 ... ps square-free are products of those local rings
+(``rings.Split``), so there the question is reduced mod each p_i,
+answered locally and glued back through the structural idempotents e_i:
 
     ker(A|B) = e_1 ker(A mod p1 | B mod p1) + ... + e_s ker(A mod ps | B mod ps)
 
-with local representatives lifted to [0, m).  Flat base change makes the
-reduction of the glued kernel mod p_i land back on the local kernel,
-which base_change_check verifies on concrete instances.
+Flat base change makes the reduction of the glued kernel mod p_i land
+back on the local kernel, which base_change_check verifies on concrete
+instances.
 """
 
 from dataclasses import dataclass
 
-from .errors import (
-    BaseChangeViolatedError,
-    NotSquareFreeError,
-    RingMismatchError,
+from .errors import BaseChangeViolatedError, MethodUnavailableError, RingMismatchError
+from .kernel import (
+    KernelPairResult,
+    _check_pair,
+    kernel_pair_field,
+    kernel_pair_oracle,
+    kernel_pair_projection,
 )
-from .kernel import KernelPairResult, kernel_pair_field
-from .linalg import Submodule
+from .linalg import Submodule, nullspace, solve
 from .matrix import Matrix
-from .rings import ModRing, PrimeField, crt_idempotents, factorize
+from .polykernel import kernel_pair_poly, poly_kernel, poly_solve
+from .rings import ModRing, PolyRing, PrimeField, Split, is_local, split_ring
 
 
 @dataclass(frozen=True)
@@ -29,9 +35,6 @@ class CrtDecomposition:
     m: int
     primes: tuple          # ascending
     idempotents: tuple     # e_i = 1 mod primes[i], 0 mod the others
-
-    def project(self, a: int, i: int) -> int:
-        return a % self.primes[i]
 
     def check_laws(self) -> list:
         """Idempotent laws, verified exactly; returns violations."""
@@ -55,93 +58,165 @@ class CrtDecomposition:
 
 def idempotents(m: int) -> CrtDecomposition:
     """Structural idempotents of square-free m, ascending prime order."""
-    factors = factorize(m)
-    bad = next((p for p, k in factors if k > 1), None)
-    if bad is not None:
-        raise NotSquareFreeError(f"{m} is not square-free", prime=bad)
-    primes = tuple(p for p, _ in factors)
-    return CrtDecomposition(m=m, primes=primes,
-                            idempotents=crt_idempotents(primes, m))
+    split = split_ring(ModRing(m))
+    return CrtDecomposition(m=m, primes=split.primes, idempotents=split.idempotents)
 
 
-def reduce_matrix(a: Matrix, i: int) -> Matrix:
-    """Entrywise reduction of a Z/m matrix modulo its i-th prime."""
-    p = a.ring.primes[i]
-    return a.map_entries(lambda e: e % p, ring=PrimeField(p))
+# -- local backends and the one dispatch --------------------------------------
+
+# What each local ring answers with.  Module-level dicts, like
+# kernel._METHODS, because bench/spans.py patches a traced function
+# wherever a module or a module-level dict holds it.
+FIELD = {"kernel": nullspace, "solve": solve, "kernel_pair": kernel_pair_projection}
+POLY = {"kernel": lambda a: poly_kernel(a).submodule, "solve": poly_solve,
+        "kernel_pair": kernel_pair_poly}
+
+
+def _resolve(ring):
+    """(local backend, Split or None) for a supported ring."""
+    backend = FIELD if isinstance(ring, (PrimeField, ModRing)) else POLY
+    return backend, None if is_local(ring) else split_ring(ring)
+
+
+def kernel(a: Matrix) -> Submodule:
+    """Canonical kernel {v : A v = 0} over any supported ring."""
+    backend, split = _resolve(a.ring)
+    if split is None:
+        return backend["kernel"](a)
+    return Submodule.glued(a.ring, a.ncols, [
+        backend["kernel"](split.reduce_matrix(a, i)) for i in range(len(split.locals))])
+
+
+def solver(a: Matrix):
+    """A function c -> some x with A x = c, or None, over any supported
+    ring; over a split ring A is reduced once, not per right-hand side."""
+    backend, split = _resolve(a.ring)
+    local_solve = backend["solve"]
+    if split is None:
+        return lambda c: local_solve(a, c)
+    reduced = [split.reduce_matrix(a, i) for i in range(len(split.locals))]
+
+    def solve_split(c):
+        parts = []
+        for i, ai in enumerate(reduced):
+            x = local_solve(ai, split.reduce(c, i))
+            if x is None:
+                return None
+            parts.append(x)
+        return split.glue(parts)
+
+    return solve_split
+
+
+_FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
+
+
+def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):
+    """(result, witness or None): ker(f1|f2) over any supported ring.
+
+    ``auto`` runs the ring family's own method: projection over GF(p),
+    per-prime gluing over Z/m, Hermite kernels over GF(p)[z] and
+    (Z/m)[z].  Fields also take ``preimage`` and ``quotient``, finite
+    rings ``oracle``; any other method raises MethodUnavailableError.
+    The witness is the split-sequence section over GF(p) (projection)
+    and GF(p)[z]; the oracle's result has ker_bar only.
+    """
+    ring = a.ring
+    if method == "oracle":
+        if isinstance(ring, PolyRing):
+            raise MethodUnavailableError("the enumeration oracle cannot run over "
+                                         "an infinite polynomial ring")
+        return KernelPairResult(ker_f1=None, ker_pair=None,
+                                ker_bar=kernel_pair_oracle(a, b), method="oracle"), None
+    if method not in ("auto", _FAMILY_METHOD[type(ring)]):
+        if isinstance(ring, PrimeField):
+            return kernel_pair_field(a, b, method), None
+        hint = "auto or oracle" if isinstance(ring, ModRing) else "auto"
+        raise MethodUnavailableError(
+            f"method {method!r} does not apply to {ring!r}; use {hint}")
+    backend, split = _resolve(ring)
+    if split is None:
+        return backend["kernel_pair"](a, b)
+    return glue_kernel_pair(a, b, split, lambda x, y: backend["kernel_pair"](x, y)[0]), None
+
+
+# -- local-global results ----------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LocalGlobalResult:
+class LocalGlobalResult(KernelPairResult):
+    """A kernel pair over a split ring: ker_f1, ker_pair and ker_bar glued
+    from one local KernelPairResult per prime."""
+
     primes: tuple
-    local_results: tuple   # one KernelPairResult per prime
-    glued: Submodule       # ker(f1|f2) over Z/m, per-component presentation
-    glued_pair: Submodule
-    glued_f1: Submodule
-    method: str
+    local_results: tuple
+
+    glued = property(lambda self: self.ker_bar)
+    glued_pair = property(lambda self: self.ker_pair)
+    glued_f1 = property(lambda self: self.ker_f1)
 
     @property
     def local_kernels(self) -> tuple:
         return tuple(r.ker_bar for r in self.local_results)
 
 
-def _require_square_free(ring):
-    if not isinstance(ring, ModRing):
-        raise RingMismatchError(f"expected a Z/m matrix, got one over {ring!r}")
-    if not ring.square_free:
-        bad = next(p for p, k in factorize(ring.m) if k > 1)
-        raise NotSquareFreeError(
-            f"Z/{ring.m} is not a product of fields", prime=bad)
+def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair,
+                     method: str = "projection") -> LocalGlobalResult:
+    """Reduce A and B at every prime of ``split``, solve each with
+    ``local_pair`` (returning a KernelPairResult) and glue."""
+    _check_pair(a, b)
+    locals_ = tuple(local_pair(split.reduce_matrix(a, i), split.reduce_matrix(b, i))
+                    for i in range(len(split.locals)))
+
+    def glue(part, ambient):
+        return Submodule.glued(a.ring, ambient, [getattr(r, part) for r in locals_])
+
+    return LocalGlobalResult(
+        ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),
+        ker_bar=glue("ker_bar", b.ncols), method=method,
+        primes=split.primes, local_results=locals_)
 
 
-def _glue(ring, ambient, comps) -> Submodule:
-    return Submodule(ring, ambient, "components", components=tuple(comps))
+def reduce_matrix(a: Matrix, i: int) -> Matrix:
+    """Entrywise reduction of a Z/m matrix modulo its i-th prime."""
+    return split_ring(a.ring).reduce_matrix(a, i)
 
 
 def kernel_pair_crt(a: Matrix, b: Matrix, method: str = "projection") -> LocalGlobalResult:
-    """ker(f1|f2) over square-free Z/m by per-prime solves and gluing."""
-    ring = a.ring
-    _require_square_free(ring)
-    if ring != b.ring:
-        raise RingMismatchError(f"{ring!r} vs {b.ring!r}")
-    locals_ = []
-    for i in range(len(ring.primes)):
-        ai, bi = reduce_matrix(a, i), reduce_matrix(b, i)
-        locals_.append(kernel_pair_field(ai, bi, method=method))
-    q1, q2 = a.ncols, b.ncols
-    return LocalGlobalResult(
-        primes=ring.primes,
-        local_results=tuple(locals_),
-        glued=_glue(ring, q2, (r.ker_bar for r in locals_)),
-        glued_pair=_glue(ring, q1 + q2, (r.ker_pair for r in locals_)),
-        glued_f1=_glue(ring, q1, (r.ker_f1 for r in locals_)),
-        method=method,
-    )
+    """ker(f1|f2) over square-free Z/m by per-prime solves and gluing;
+    ``method`` picks the field method run at each prime."""
+    if not isinstance(a.ring, ModRing):
+        raise RingMismatchError(f"expected a Z/m matrix, got one over {a.ring!r}")
+    return glue_kernel_pair(a, b, split_ring(a.ring),
+                            lambda x, y: kernel_pair_field(x, y, method), method)
+
+
+def base_change_violations(result: LocalGlobalResult, i: int) -> list:
+    """Reduce the glued kernel mod the i-th prime and compare with the
+    local kernel; they must agree by flatness of the factor projection.
+
+    The reduction goes through the glued generators e_j lift(basis) over
+    the split ring, not through the stored components, so the comparison
+    is against an independently assembled presentation.
+    """
+    glued = result.ker_bar
+    split = split_ring(glued.ring)
+    reduced = Submodule.from_columns(split.locals[i], glued.ambient,
+                                     [split.reduce(g, i) for g in glued.generators()])
+    direct = result.local_results[i].ker_bar
+    if reduced != direct:
+        return [f"mod {split.primes[i]}: reduction of glued kernel (dim {reduced.dim}) "
+                f"!= local kernel (dim {direct.dim})"]
+    return []
 
 
 def base_change_check(a: Matrix, b: Matrix, i: int, strict: bool = False) -> list:
-    """Reduce the glued kernel mod the i-th prime and compare with the
-    locally computed kernel; they must agree by flatness of the factor
-    projection.
-
-    The reduction goes through the glued generators e_j lift(basis) over
-    Z/m, not through the stored components, so the comparison is against
-    an independently assembled presentation.
-    """
-    ring = a.ring
-    result = kernel_pair_crt(a, b)
-    p = ring.primes[i]
-    fp = PrimeField(p)
-    reduced = Submodule.from_columns(
-        fp, b.ncols, [tuple(x % p for x in g) for g in result.glued.generators()])
-    direct = kernel_pair_field(reduce_matrix(a, i), reduce_matrix(b, i)).ker_bar
-    violations = []
-    if reduced != direct:
-        violations.append(
-            f"mod {p}: reduction of glued kernel (dim {reduced.dim}) "
-            f"!= local kernel (dim {direct.dim})")
+    """base_change_violations of kernel_pair_crt(a, b) at the i-th prime;
+    with strict=True a violation raises BaseChangeViolatedError."""
+    violations = base_change_violations(kernel_pair_crt(a, b), i)
     if strict and violations:
         raise BaseChangeViolatedError(
-            f"A={a!r} B={b!r} prime={p}: " + "; ".join(violations))
+            f"A={a!r} B={b!r} prime={a.ring.primes[i]}: " + "; ".join(violations))
     return violations
 
 

@@ -61,7 +61,10 @@ class BaseChangeViolatedError(KerpairError):
 
 
 class ConsistencyViolatedError(KerpairError):
-    """The dynamical and polynomial kernel pictures disagreed."""
+    """A computed result failed its own invariant: a witness that does not
+    verify, a periodic solve that does not close, a degree sweep that does
+    not saturate, or dynamical and polynomial pictures that disagree.
+    This is a defect in the program, not in the input."""
 
 
 class MethodUnavailableError(KerpairError):

@@ -23,8 +23,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    ConsistencyViolatedError,
     DimensionMismatchError,
     IdentityViolatedError,
+    MethodUnavailableError,
     NotFiniteError,
     NotInvertible,
     OracleTooLargeError,
@@ -32,13 +34,13 @@ from .errors import (
 )
 from .linalg import Submodule, image, nullspace, rref, solve
 from .matrix import Matrix, hstack, vstack
-from .rings import ModRing, PolyRing, PrimeField
+from .rings import PolyRing, PrimeField
 
 
 @dataclass(frozen=True)
 class KernelPairResult:
-    ker_f1: Submodule      # of R^q1
-    ker_pair: Submodule    # of R^(q1+q2)
+    ker_f1: Submodule      # of R^q1; None from the oracle, which enumerates ker_bar only
+    ker_pair: Submodule    # of R^(q1+q2); None from the oracle
     ker_bar: Submodule     # of R^q2, this is ker(f1|f2)
     method: str
 
@@ -103,19 +105,30 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _build_witness(a: Matrix, b: Matrix, ker_bar: Submodule) -> ExactSequenceWitness:
+def _projection_pair(a: Matrix, b: Matrix, kernel, solver):
+    """ker(f1|f2) as the u-projection of the joint kernel of [A|B], with
+    the split-sequence witness: one section column (x_u, u) per ker_bar
+    basis vector u, x_u = solver(A, -B u).  ``kernel`` and ``solver`` are
+    the local ring's: elimination over GF(p), Hermite over GF(p)[z]."""
+    _check_pair(a, b)
     ring = a.ring
     q1, q2 = a.ncols, b.ncols
+    ker_pair = kernel(hstack(a, b))
+    ker_bar = _project_u(ker_pair, q1, q2)
+    result = KernelPairResult(ker_f1=kernel(a), ker_pair=ker_pair,
+                              ker_bar=ker_bar, method="projection")
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
     neg_b = -b
     cols = []
     for u in ker_bar.basis.columns():
-        x = solve(a, neg_b.matvec(u))
-        assert x is not None, "section witness must exist inside ker(f1|f2)"
+        x = solver(a, neg_b.matvec(u))
+        if x is None:
+            raise ConsistencyViolatedError(
+                f"no section witness for {u!r}, although it lies in ker(f1|f2)")
         cols.append(x + u)
     section = Matrix.from_columns(ring, cols, nrows=q1 + q2)
-    return ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
+    return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
 
 
 def kernel_pair_projection(a: Matrix, b: Matrix):
@@ -123,24 +136,15 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
 
     Returns the result together with the split-sequence witness.
     """
-    _check_pair(a, b)
-    ker_pair = nullspace(hstack(a, b))
-    ker_f1 = nullspace(a)
-    ker_bar = _project_u(ker_pair, a.ncols, b.ncols)
-    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
-                              ker_bar=ker_bar, method="projection")
-    return result, _build_witness(a, b, ker_bar)
+    return _projection_pair(a, b, nullspace, solve)
 
 
 def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
     """ker(f1|f2) as f2^{-1}(Im f1): solve [M|B](lambda,u) = 0 over a
     basis M of Im(A) and project to u."""
     _check_pair(a, b)
-    ring = a.ring
     m = image(a).basis
-    joint = nullspace(hstack(m, b))
-    cols = [col[m.ncols:] for col in joint.basis.columns()]
-    ker_bar = Submodule.from_columns(ring, b.ncols, cols)
+    ker_bar = _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
     return KernelPairResult(ker_f1=nullspace(a),
                             ker_pair=nullspace(hstack(a, b)),
                             ker_bar=ker_bar, method="preimage")
@@ -172,18 +176,12 @@ _METHODS = {
 
 
 def kernel_pair_field(a: Matrix, b: Matrix, method: str = "projection") -> KernelPairResult:
+    if method not in _METHODS:
+        raise MethodUnavailableError(f"method {method!r} does not apply to {a.ring!r}")
     return _METHODS[method](a, b)
 
 
 # -- witness checking -------------------------------------------------------
-
-
-def _kernel_of(matrix: Matrix) -> Submodule:
-    if isinstance(matrix.ring, PolyRing):
-        from .polykernel import poly_kernel
-
-        return poly_kernel(matrix).submodule
-    return nullspace(matrix)
 
 
 def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
@@ -193,6 +191,8 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
     Works over prime fields and over GF(p)[z] (both hereditary, so the
     sequence must split).  An empty list means the witness is valid.
     """
+    from .crt import kernel
+
     ring = a.ring
     q1, q2 = a.ncols, b.ncols
     ab = hstack(a, b)
@@ -219,7 +219,7 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
         violations.append("image(iota) and image(section) overlap")
 
     # image(iota) must be exactly ker(pi2) restricted to ker_pair
-    restricted = _kernel_of(vstack(ab, witness.pi2))
+    restricted = kernel(vstack(ab, witness.pi2))
     iota_span = Submodule.from_columns(ring, q1 + q2, iota_cols)
     if restricted != iota_span:
         violations.append("image(iota) != ker(pi2) within ker(f1,f2)")
@@ -227,30 +227,6 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
 
 
 # -- brute-force oracle -----------------------------------------------------
-
-
-def _field_membership_tester(a: Matrix, b: Matrix):
-    neg_b = -b
-    return lambda u: solve(a, neg_b.matvec(u)) is not None
-
-
-def _per_prime_membership_tester(a: Matrix, b: Matrix):
-    ring = a.ring
-    locals_ = []
-    for p in ring.primes:
-        fp = PrimeField(p)
-        ap = a.map_entries(lambda e: e % p, ring=fp)
-        bp = b.map_entries(lambda e: e % p, ring=fp)
-        locals_.append((ap, -bp))
-
-    def member(u):
-        for ap, nbp in locals_:
-            up = tuple(x % ap.ring.p for x in u)
-            if solve(ap, nbp.matvec(up)) is None:
-                return False
-        return True
-
-    return member
 
 
 def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
@@ -270,16 +246,19 @@ def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
     if count > limit:
         raise OracleTooLargeError(f"{count} candidates exceed the {limit} guard")
 
-    if isinstance(ring, PrimeField):
-        member = _field_membership_tester(a, b)
-    elif ring.square_free:
-        member = _per_prime_membership_tester(a, b)
+    neg_b = -b
+    if isinstance(ring, PrimeField) or ring.square_free:
+        from .crt import solver
+
+        solve_a = solver(a)
+
+        def member(u):
+            return solve_a(neg_b.matvec(u)) is not None
     else:
         if count * ring.size ** q1 > limit:
             raise OracleTooLargeError(
                 f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
         xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
-        neg_b = -b
 
         def member(u):
             target = neg_b.matvec(u)

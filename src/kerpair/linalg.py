@@ -13,14 +13,9 @@ submodules over polynomial rings by a column Hermite basis; see
 
 from dataclasses import dataclass
 
-from .errors import (
-    AmbientMismatchError,
-    DimensionMismatchError,
-    NotAFieldError,
-    NotSquareFreeError,
-)
+from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
 from .matrix import Matrix
-from .rings import ModRing, PolyRing, PrimeField
+from .rings import ModRing, PolyRing, PrimeField, is_local, split_ring
 
 
 @dataclass(frozen=True)
@@ -130,14 +125,6 @@ def image(a: Matrix) -> "Submodule":
     return Submodule.from_columns(a.ring, a.nrows, a.columns())
 
 
-def _reduce_int_vector(v, p):
-    return tuple(x % p for x in v)
-
-
-def _reduce_poly_vector(ring_p, v):
-    return tuple(ring_p.normalize(e) for e in v)
-
-
 class Submodule:
     """Canonical finite presentation of a submodule of ring^ambient.
 
@@ -165,42 +152,27 @@ class Submodule:
         columns = [tuple(ring.normalize(e) for e in c) for c in columns]
         if any(len(c) != ambient for c in columns):
             raise AmbientMismatchError("spanning vector with wrong length")
+        if not is_local(ring):
+            split = split_ring(ring)
+            return cls.glued(ring, ambient, [
+                cls.from_columns(local, ambient, [split.reduce(c, i) for c in columns])
+                for i, local in enumerate(split.locals)])
         if isinstance(ring, PrimeField):
             cols, pivots = _echelon_columns(ring, ambient, columns)
             basis = Matrix.from_columns(ring, cols, nrows=ambient) if cols else \
                 Matrix.zeros(ring, ambient, 0)
             return cls(ring, ambient, "field", basis=basis, pivot_rows=pivots)
-        if isinstance(ring, ModRing):
-            if not ring.square_free:
-                raise NotSquareFreeError(
-                    f"no canonical presentation over Z/{ring.m}: modulus not square-free"
-                )
-            comps = []
-            for p in ring.primes:
-                fp = PrimeField(p)
-                comps.append(cls.from_columns(fp, ambient,
-                                              [_reduce_int_vector(c, p) for c in columns]))
-            return cls(ring, ambient, "components", components=comps)
-        if isinstance(ring, PolyRing):
-            if ring.coeff_is_prime:
-                from .polykernel import hermite_form
+        from .polykernel import hermite_form
 
-                basis = hermite_form(Matrix.from_columns(ring, columns, nrows=ambient)
-                                     if columns else Matrix.zeros(ring, ambient, 0))
-                pivots = _poly_pivot_rows(basis)
-                return cls(ring, ambient, "poly", basis=basis, pivot_rows=pivots)
-            if not ring.coeff_square_free:
-                raise NotSquareFreeError(
-                    f"no canonical presentation over (Z/{ring.n})[z]: "
-                    "coefficient modulus not square-free"
-                )
-            comps = []
-            for p in ring.coeff_primes:
-                rp = PolyRing(p)
-                comps.append(cls.from_columns(rp, ambient,
-                                              [_reduce_poly_vector(rp, c) for c in columns]))
-            return cls(ring, ambient, "poly_components", components=comps)
-        raise NotAFieldError(f"unsupported ring {ring!r}")
+        basis = hermite_form(Matrix.from_columns(ring, columns, nrows=ambient)
+                             if columns else Matrix.zeros(ring, ambient, 0))
+        return cls(ring, ambient, "poly", basis=basis, pivot_rows=_poly_pivot_rows(basis))
+
+    @classmethod
+    def glued(cls, ring, ambient, components) -> "Submodule":
+        """The submodule of a split ring with the given per-prime components."""
+        kind = "components" if isinstance(ring, ModRing) else "poly_components"
+        return cls(ring, ambient, kind, components=components)
 
     @classmethod
     def zero(cls, ring, ambient) -> "Submodule":
@@ -256,21 +228,9 @@ class Submodule:
         """
         if self.kind in ("field", "poly"):
             return self.basis.columns()
-        gens = []
-        if self.kind == "components":
-            es = self.ring.idempotents()
-            for e, comp in zip(es, self.components):
-                for col in comp.basis.columns():
-                    gens.append(tuple((e * x) % self.ring.m for x in col))
-            return gens
-        # poly_components: idempotents of the coefficient ring act coefficientwise
-        from .rings import crt_idempotents
-
-        es = crt_idempotents(self.ring.coeff_primes, self.ring.n)
-        for e, comp in zip(es, self.components):
-            for col in comp.basis.columns():
-                gens.append(tuple(self.ring.scale(e, poly) for poly in col))
-        return gens
+        split = split_ring(self.ring)
+        return [split.lift(col, i) for i, comp in enumerate(self.components)
+                for col in comp.basis.columns()]
 
     # -- membership --------------------------------------------------------
 
@@ -283,18 +243,10 @@ class Submodule:
             return self._contains_field(v)
         if self.kind == "poly":
             return self._contains_poly(v)
-        if self.kind == "components":
-            coords = []
-            for p, comp in zip(self.ring.primes, self.components):
-                local = comp.contains(_reduce_int_vector(v, p))
-                if local is None:
-                    return None
-                coords.extend(local)
-            return tuple(coords)
+        split = split_ring(self.ring)
         coords = []
-        for p, comp in zip(self.ring.coeff_primes, self.components):
-            rp = PolyRing(p)
-            local = comp.contains(_reduce_poly_vector(rp, v))
+        for i, comp in enumerate(self.components):
+            local = comp.contains(split.reduce(v, i))
             if local is None:
                 return None
             coords.extend(local)

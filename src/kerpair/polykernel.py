@@ -17,16 +17,15 @@ fraction-free elimination basis can miss non-saturated directions).
 from dataclasses import dataclass
 
 from .errors import (
+    ConsistencyViolatedError,
     DimensionMismatchError,
     NotAFieldError,
-    NotSquareFreeError,
     RingMismatchError,
 )
-from .kernel import ExactSequenceWitness, KernelPairResult
-from .crt import LocalGlobalResult
+from .kernel import _projection_pair
 from .linalg import Submodule, nullspace
-from .matrix import Matrix, hstack, vstack
-from .rings import PolyRing, PrimeField, crt_idempotents
+from .matrix import Matrix
+from .rings import PolyRing, PrimeField, split_ring
 
 
 def _require_poly_field(ring):
@@ -154,7 +153,7 @@ def poly_kernel(a: Matrix) -> PolyKernelBasis:
                 selected.append(v)
                 if len(selected) == target:
                     return hermite_basis(trial)
-    raise AssertionError(
+    raise ConsistencyViolatedError(
         f"degree bound {bound} failed to saturate a rank-{target} kernel")
 
 
@@ -259,28 +258,12 @@ def poly_solve(a: Matrix, c) -> tuple | None:
     """
     if len(c) != a.nrows:
         raise DimensionMismatchError(f"rhs length {len(c)} != {a.nrows} rows")
-    ring = a.ring
     h, u, pivot_rows = hermite_with_transform(a)
-    residual = [ring.normalize(e) for e in c]
-    coords = []
-    for j, r in enumerate(pivot_rows):
-        col = h.column(j)
-        q, rem = ring.divmod(residual[r], col[r])
-        if rem != ring.zero:
-            return None
-        coords.append(q)
-        if q != ring.zero:
-            for i in range(len(residual)):
-                residual[i] = ring.sub(residual[i], ring.mul(q, col[i]))
-    if any(e != ring.zero for e in residual):
+    hermite = Submodule(a.ring, a.nrows, "poly", basis=h, pivot_rows=pivot_rows)
+    coords = hermite.contains(c)
+    if coords is None:
         return None
-    x = [ring.zero] * a.ncols
-    for j, q in enumerate(coords):
-        if q != ring.zero:
-            ucol = u.column(j)
-            for i in range(a.ncols):
-                x[i] = ring.add(x[i], ring.mul(q, ucol[i]))
-    return tuple(x)
+    return u.matvec(coords + (a.ring.zero,) * (u.ncols - len(coords)))
 
 
 # -- kernel pairs over GF(p)[z] ----------------------------------------------
@@ -293,52 +276,13 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     basis; exactness of the projection means those generators already
     span ker(A|B), no saturation pass needed.
     """
-    if a.ring != b.ring:
-        raise RingMismatchError(f"{a.ring!r} vs {b.ring!r}")
-    if a.nrows != b.nrows:
-        raise DimensionMismatchError(
-            f"codomain mismatch: A has {a.nrows} rows, B has {b.nrows}")
-    _require_poly_field(a.ring)
-    ring = a.ring
-    q1, q2 = a.ncols, b.ncols
-    pair = poly_kernel(hstack(a, b))
-    ker_f1 = poly_kernel(a).submodule
-    ker_bar = Submodule.from_columns(
-        ring, q2, [col[q1:] for col in pair.basis.columns()])
-    result = KernelPairResult(ker_f1=ker_f1, ker_pair=pair.submodule,
-                              ker_bar=ker_bar, method="projection")
-
-    iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
-    pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
-    neg_b = -b
-    cols = []
-    for u in ker_bar.basis.columns():
-        x = poly_solve(a, neg_b.matvec(u))
-        assert x is not None, "section witness must exist inside ker(f1|f2)"
-        cols.append(x + u)
-    section = Matrix.from_columns(ring, cols, nrows=q1 + q2)
-    return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
+    return _projection_pair(a, b, lambda m: poly_kernel(m).submodule, poly_solve)
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:
-    """Witness x(z) with A x + B u = 0, or None when u is not in ker(A|B).
-
-    Membership is Hermite division against ker_bar; the witness combines
-    the section columns with the division coordinates.
-    """
-    if len(u) != b.ncols:
-        raise DimensionMismatchError(f"vector length {len(u)} != {b.ncols}")
-    result, witness = kernel_pair_poly(a, b)
-    coords = result.ker_bar.contains(u)
-    if coords is None:
-        return None
-    ring = a.ring
-    x = [ring.zero] * a.ncols
-    for q, col in zip(coords, witness.section.columns()):
-        if q != ring.zero:
-            for i in range(a.ncols):
-                x[i] = ring.add(x[i], ring.mul(q, col[i]))
-    return tuple(x)
+    """Witness x(z) with A x + B u = 0, or None when u is not in ker(A|B):
+    one Hermite solve of A x = -B u."""
+    return poly_solve(a, (-b).matvec(u))
 
 
 # -- local-global over (Z/m)[z] ----------------------------------------------
@@ -346,54 +290,25 @@ def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:
 
 def reduce_poly_matrix(a: Matrix, i: int) -> Matrix:
     """Coefficientwise reduction of a (Z/m)[z] matrix mod its i-th prime."""
-    p = a.ring.coeff_primes[i]
-    rp = PolyRing(p)
-    return a.map_entries(rp.normalize, ring=rp)
+    return split_ring(a.ring).reduce_matrix(a, i)
 
 
-def kernel_pair_poly_crt(a: Matrix, b: Matrix) -> LocalGlobalResult:
+def kernel_pair_poly_crt(a: Matrix, b: Matrix):
     """ker(f1|f2) over (Z/m)[z], m square-free, glued from the GF(p_i)[z]
     local kernels through the coefficient-ring idempotents."""
-    ring = a.ring
-    if not isinstance(ring, PolyRing):
-        raise RingMismatchError(f"expected a polynomial matrix, got {ring!r}")
-    if ring != b.ring:
-        raise RingMismatchError(f"{ring!r} vs {b.ring!r}")
-    if not ring.coeff_square_free:
-        raise NotSquareFreeError(
-            f"(Z/{ring.n})[z] does not split: coefficient modulus not square-free")
-    locals_ = []
-    for i in range(len(ring.coeff_primes)):
-        ai, bi = reduce_poly_matrix(a, i), reduce_poly_matrix(b, i)
-        locals_.append(kernel_pair_poly(ai, bi)[0])
-    q1, q2 = a.ncols, b.ncols
+    from .crt import glue_kernel_pair
 
-    def glue(parts, ambient):
-        return Submodule(ring, ambient, "poly_components", components=tuple(parts))
-
-    return LocalGlobalResult(
-        primes=ring.coeff_primes,
-        local_results=tuple(locals_),
-        glued=glue((r.ker_bar for r in locals_), q2),
-        glued_pair=glue((r.ker_pair for r in locals_), q1 + q2),
-        glued_f1=glue((r.ker_f1 for r in locals_), q1),
-        method="projection",
-    )
+    if not isinstance(a.ring, PolyRing):
+        raise RingMismatchError(f"expected a polynomial matrix, got {a.ring!r}")
+    return glue_kernel_pair(a, b, split_ring(a.ring), lambda x, y: kernel_pair_poly(x, y)[0])
 
 
 def poly_base_change_check(a: Matrix, b: Matrix, i: int) -> list:
     """Flatness check over (Z/m)[z]: reducing the glued generators mod
     the i-th prime must reproduce the local kernel."""
-    result = kernel_pair_poly_crt(a, b)
-    p = a.ring.coeff_primes[i]
-    rp = PolyRing(p)
-    reduced = Submodule.from_columns(
-        rp, b.ncols,
-        [tuple(rp.normalize(e) for e in g) for g in result.glued.generators()])
-    direct = kernel_pair_poly(reduce_poly_matrix(a, i), reduce_poly_matrix(b, i))[0].ker_bar
-    if reduced != direct:
-        return [f"mod {p}: reduction of glued poly kernel != local kernel"]
-    return []
+    from .crt import base_change_violations
+
+    return base_change_violations(kernel_pair_poly_crt(a, b), i)
 
 
 def random_unimodular(ring: PolyRing, n: int, rng, ops: int = 8) -> Matrix:

@@ -13,9 +13,15 @@ them.  Every operation returns the canonical representative, so equal
 elements always compare equal structurally.
 """
 
+import functools
 import math
 
-from .errors import CompositeModulusError, NotFiniteError, NotInvertible
+from .errors import (
+    CompositeModulusError,
+    NotFiniteError,
+    NotInvertible,
+    NotSquareFreeError,
+)
 
 #: Moduli are kept machine-word sized; these are desk-scale rings.
 MAX_MODULUS = 2**62
@@ -208,15 +214,6 @@ class ModRing:
             raise NotInvertible(f"{a} is a zero divisor mod {self.m}", witness=g)
         return pow(a, -1, self.m)
 
-    def idempotents(self) -> tuple[int, ...]:
-        """Structural idempotents, one per prime factor (square-free m only)."""
-        from .errors import NotSquareFreeError
-
-        if not self.square_free:
-            p = next(p for p, k in factorize(self.m) if k > 1)
-            raise NotSquareFreeError(f"{self.m} is not square-free", prime=p)
-        return crt_idempotents(self.primes, self.m)
-
     def elements(self):
         return range(self.m)
 
@@ -404,3 +401,65 @@ def make_ring(kind: str, parameter: int):
     if kind not in _KINDS:
         raise ValueError(f"unknown ring kind {kind!r}; expected one of {sorted(_KINDS)}")
     return _KINDS[kind](parameter)
+
+
+# -- splitting square-free rings into local rings ---------------------------
+
+
+class Split:
+    """Z/m or (Z/m)[z], m square-free, as the product of its local rings
+    GF(p_i) or GF(p_i)[z], one per prime factor p_i in ascending order.
+
+    ``reduce`` carries a vector into the i-th local ring through that
+    ring's ``normalize`` (entrywise for ints, coefficientwise for
+    polynomials); ``lift`` carries a local vector back, multiplied by the
+    structural idempotent e_i so that it vanishes in every other factor;
+    ``glue`` sums the lifts, the inverse of reducing at every prime.
+    """
+
+    __slots__ = ("ring", "primes", "locals", "idempotents")
+
+    def __init__(self, ring):
+        if isinstance(ring, ModRing):
+            m, self.primes, square_free, local = (ring.m, ring.primes,
+                                                  ring.square_free, PrimeField)
+        else:
+            m, self.primes, square_free, local = (ring.n, ring.coeff_primes,
+                                                  ring.coeff_square_free, PolyRing)
+        if not square_free:
+            bad = next(p for p, k in factorize(m) if k > 1)
+            what = "modulus" if local is PrimeField else "coefficient modulus"
+            raise NotSquareFreeError(
+                f"{ring!r} does not decompose; {what} is not square-free", prime=bad)
+        self.ring = ring
+        self.locals = tuple(local(p) for p in self.primes)
+        es = crt_idempotents(self.primes, m)
+        self.idempotents = es if local is PrimeField else tuple((e,) for e in es)
+
+    def reduce(self, v, i) -> tuple:
+        return tuple(map(self.locals[i].normalize, v))
+
+    def reduce_matrix(self, a, i):
+        local = self.locals[i]
+        return a.map_entries(local.normalize, ring=local)
+
+    def lift(self, v, i) -> tuple:
+        ring, e = self.ring, self.idempotents[i]
+        return tuple(ring.mul(e, ring.normalize(x)) for x in v)
+
+    def glue(self, parts) -> tuple:
+        lifted = [self.lift(v, i) for i, v in enumerate(parts)]
+        return tuple(functools.reduce(self.ring.add, col) for col in zip(*lifted))
+
+
+def is_local(ring) -> bool:
+    """GF(p) and GF(p)[z]: the rings every question is answered over directly."""
+    return isinstance(ring, PrimeField) or (
+        isinstance(ring, PolyRing) and ring.coeff_is_prime)
+
+
+@functools.lru_cache(maxsize=64)
+def split_ring(ring) -> Split:
+    """The Split of a Z/m or (Z/m)[z] ring, built once per ring (building
+    the local rings re-tests every prime factor); never mutated."""
+    return Split(ring)

@@ -141,6 +141,17 @@ def test_periodic_crt_path_z6():
     assert traj is not None and traj.states == ((3,), (3,))
 
 
+@pytest.mark.parametrize("ring", [PolyRing(5), PolyRing(30)], ids=["GF(5)[z]", "(Z/30)[z]"])
+def test_periodic_over_polynomial_rings(ring):
+    # x(1) = z x(0) + u must equal x(0): (z - 1) x0 = -u has the solution
+    # x0 = 1 for u = 1 - z, and none for u = 1 (z - 1 is not a unit)
+    sys = SystemPair(Matrix(ring, 1, 1, [[(0, 1)]]), Matrix(ring, 1, 1, [[(1,)]]))
+    u = ring.normalize((1, -1))
+    traj = admissible(sys, AdmissibleInputQuery(((u,),), "periodic"))
+    assert traj is not None and traj.states == (((1,),), ((1,),))
+    assert admissible(sys, AdmissibleInputQuery((((1,),),), "periodic")) is None
+
+
 def test_periodic_enumeration_path_z8():
     ring = ModRing(8)
     # 2 x0 - x0 = x0 must hit -forced: A=[2], B=[2], u=2 -> forced 4,

@@ -6,6 +6,7 @@ import pytest
 from kerpair import (
     Matrix,
     MatrixParseError,
+    MethodUnavailableError,
     ModRing,
     PolyRing,
     PrimeField,
@@ -13,6 +14,8 @@ from kerpair import (
     nullspace,
 )
 from kerpair.cli import (
+    build_parser,
+    cmd_member,
     format_matrix_file,
     main,
     matrix_kernel,
@@ -50,6 +53,15 @@ matrix B 1 1
 """
 
 
+POLY30_FILE = """\
+ring polygf 30
+matrix A 1 2
+[0,15] [10]
+matrix B 1 1
+[5,1]
+"""
+
+
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -79,6 +91,13 @@ def zmod_file(tmp_path):
 def poly_file(tmp_path):
     p = tmp_path / "poly.txt"
     p.write_text(POLY_FILE)
+    return str(p)
+
+
+@pytest.fixture
+def poly30_file(tmp_path):
+    p = tmp_path / "poly30.txt"
+    p.write_text(POLY30_FILE)
     return str(p)
 
 
@@ -309,6 +328,42 @@ def test_member_gf(gf_file):
     assert code == 0
     code, doc = run_json(["member", gf_file, "A", "B", "1"])
     assert code == 1
+
+
+# -- composite coefficients: (Z/30)[z] ----------------------------------------
+
+
+def test_kernel_poly30(poly30_file):
+    code, doc = run_json(["kernel", poly30_file, "A"])
+    assert code == 0
+    assert doc["kernel"]["kind"] == "poly_components"
+    assert doc["kernel"]["primes"] == [2, 3, 5]
+    assert len(doc["kernel"]["components"]) == 3
+
+
+def test_kernel_pair_poly30(poly30_file):
+    code, doc = run_json(["kernel-pair", poly30_file, "A", "B"])
+    assert code == 0
+    assert doc["ker_bar"]["kind"] == "poly_components"
+    assert [e["prime"] for e in doc["per_prime"]] == [2, 3, 5]
+    assert "section" not in doc
+    code, _ = run_cli(["kernel-pair", poly30_file, "A", "B", "--method", "crt"])
+    assert code == 2
+
+
+def test_member_poly30_is_unavailable(poly30_file, capsys):
+    code, _ = run_cli(["member", poly30_file, "A", "B", "[1]"])
+    assert code == 2
+    assert "membership over (Z/30)[z] is not supported" in capsys.readouterr().err
+    args = build_parser().parse_args(["member", poly30_file, "A", "B", "[1]"])
+    with pytest.raises(MethodUnavailableError):
+        cmd_member(args, io.StringIO())
+
+
+def test_verify_poly30_is_unavailable(poly30_file, capsys):
+    code, _ = run_cli(["verify", poly30_file, "A", "B"])
+    assert code == 2
+    assert "verify does not support (Z/30)[z]" in capsys.readouterr().err
 
 
 # -- simulate command ---------------------------------------------------------

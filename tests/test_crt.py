@@ -4,17 +4,24 @@ import random
 import pytest
 
 from kerpair import (
+    KernelPairResult,
     Matrix,
+    MethodUnavailableError,
     ModRing,
     NotSquareFreeError,
+    PolyRing,
     PrimeField,
     RingMismatchError,
     admissible_set,
     base_change_check,
     idempotents,
     ker_bar_count,
+    kernel_of_pair,
     kernel_pair_crt,
     kernel_pair_oracle,
+    kernel_pair_poly,
+    kernel_pair_poly_crt,
+    kernel_pair_projection,
     quotient_form_crt,
     random_matrix,
     reduce_matrix,
@@ -181,3 +188,22 @@ def test_generators_live_in_glued_kernel():
     for g in result.glued.generators():
         assert result.glued.contains(g) is not None
         assert g in members
+
+
+@pytest.mark.parametrize("ring, family_entry, inapplicable", [
+    (PrimeField(5), lambda a, b: kernel_pair_projection(a, b)[0], "crt"),
+    (ModRing(30), kernel_pair_crt, "quotient"),
+    (PolyRing(5), lambda a, b: kernel_pair_poly(a, b)[0], "projection"),
+    (PolyRing(30), kernel_pair_poly_crt, "oracle"),
+], ids=["GF(5)", "Z/30", "GF(5)[z]", "(Z/30)[z]"])
+def test_kernel_of_pair_single_dispatch(ring, family_entry, inapplicable):
+    for a, b in pair_instances(ring, 5, seed=241, max_rows=2, max_q1=2,
+                               max_q2=2, max_degree=1):
+        result = kernel_of_pair(a, b)
+        assert isinstance(result, KernelPairResult)
+        assert result.ker_bar == family_entry(a, b).ker_bar
+        if ring.size is not None:
+            assert span_elements(result.ker_bar) == set(admissible_set(a, b))
+            assert kernel_of_pair(a, b, method="oracle").ker_bar == result.ker_bar
+        with pytest.raises(MethodUnavailableError):
+            kernel_of_pair(a, b, method=inapplicable)

@@ -39,8 +39,9 @@ VECTORS = {
     "polygf5": ["[2,3],[0]", "[0],[1]"],
     "polygf30": ["[0]"],
 }
-# the periodic boundary over polynomial rings is left out: at the commit
-# that generated this corpus it raised an uncaught AttributeError
+# the periodic boundary over polynomial rings is left out: it crashed with
+# an AttributeError when this corpus was recorded; test_behavior.py covers
+# it instead
 BOUNDARIES = {
     "gf5": ["free", "fixed", "periodic"],
     "zmod30": ["free", "fixed", "periodic"],
