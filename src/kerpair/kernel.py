@@ -32,9 +32,9 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
-from .linalg import Submodule, image, nullspace, rref, solve
+from .linalg import Submodule, image, nullspace, rref, solve_pair
 from .matrix import Matrix, hstack, vstack
-from .rings import PolyRing, PrimeField
+from .rings import PolyRing, PrimeField, split_ring
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,12 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _projection_pair(a: Matrix, b: Matrix, kernel, solver):
+def _projection_pair(a: Matrix, b: Matrix, kernel, solve_pair):
     """ker(f1|f2) as the u-projection of the joint kernel of [A|B], with
     the split-sequence witness: one section column (x_u, u) per ker_bar
-    basis vector u, x_u = solver(A, -B u).  ``kernel`` and ``solver`` are
-    the local ring's: elimination over GF(p), Hermite over GF(p)[z]."""
+    basis vector u, where ``solve_pair(A, B, us)`` gives every x_u with
+    A x_u = -B u at once.  ``kernel`` and ``solve_pair`` are the local
+    ring's: elimination over GF(p), Hermite over GF(p)[z]."""
     _check_pair(a, b)
     ring = a.ring
     q1, q2 = a.ncols, b.ncols
@@ -119,10 +120,9 @@ def _projection_pair(a: Matrix, b: Matrix, kernel, solver):
                               ker_bar=ker_bar, method="projection")
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
-    neg_b = -b
+    us = ker_bar.basis.columns()
     cols = []
-    for u in ker_bar.basis.columns():
-        x = solver(a, neg_b.matvec(u))
+    for u, x in zip(us, solve_pair(a, b, us)):
         if x is None:
             raise ConsistencyViolatedError(
                 f"no section witness for {u!r}, although it lies in ker(f1|f2)")
@@ -136,7 +136,7 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
 
     Returns the result together with the split-sequence witness.
     """
-    return _projection_pair(a, b, nullspace, solve)
+    return _projection_pair(a, b, nullspace, solve_pair)
 
 
 def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
@@ -246,19 +246,25 @@ def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
     if count > limit:
         raise OracleTooLargeError(f"{count} candidates exceed the {limit} guard")
 
-    neg_b = -b
     if isinstance(ring, PrimeField) or ring.square_free:
-        from .crt import solver
-
-        solve_a = solver(a)
+        # A x = -B u is solvable exactly when, at every prime, the rows of
+        # A's transform past its rank (the quotient map C) kill -B u, as
+        # in ``solve``; C (-B) is built once per prime, not per candidate
+        split = None if isinstance(ring, PrimeField) else split_ring(ring)
+        parts = [(a, b)] if split is None else [
+            (split.reduce_matrix(a, i), split.reduce_matrix(b, i))
+            for i in range(len(split.locals))]
+        checks = [quotient_map(ai).matrix @ -bi for ai, bi in parts]
 
         def member(u):
-            return solve_a(neg_b.matvec(u)) is not None
+            us = [u] if split is None else [split.reduce(u, i) for i in range(len(checks))]
+            return all(not any(c.matvec(ui)) for c, ui in zip(checks, us))
     else:
         if count * ring.size ** q1 > limit:
             raise OracleTooLargeError(
                 f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
         xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
+        neg_b = -b
 
         def member(u):
             target = neg_b.matvec(u)

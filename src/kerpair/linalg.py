@@ -12,6 +12,7 @@ submodules over polynomial rings by a column Hermite basis; see
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
 from .matrix import Matrix
@@ -31,41 +32,77 @@ def _require_field(ring):
         raise NotAFieldError(f"{ring!r} is not a prime field")
 
 
+def _eliminate(rows, p, ncols):
+    """Gauss-Jordan elimination over GF(p) of ``rows``, equal-length
+    lists of ints in [0, p), which it consumes.
+
+    Pivots are sought in the first ``ncols`` columns only; the columns
+    after them (a transform, right-hand sides) go through the same row
+    operations.  Returns the reduced rows and the pivot columns.  Every
+    field elimination runs here: over GF(p) with inline ``% p``, and over
+    GF(2) with each row packed into one int (column 0 its top bit),
+    eliminated by XOR as in M4RI (Albrecht & Bard).
+    """
+    nrows = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    if p == 2 and width:  # a row of width 0 has no bits to pack
+        packed = [int("".join(map(str, row)), 2) for row in rows]
+        for c in range(ncols):
+            if len(pivots) == nrows:
+                break
+            r = len(pivots)
+            bit = 1 << (width - 1 - c)
+            pivot = next((i for i in range(r, nrows) if packed[i] & bit), None)
+            if pivot is None:
+                continue
+            packed[r], packed[pivot] = packed[pivot], packed[r]
+            top = packed[r]
+            for i in range(nrows):
+                if i != r and packed[i] & bit:
+                    packed[i] ^= top
+            pivots.append(c)
+        form = f"0{width}b"
+        return [list(map(int, format(v, form))) for v in packed], pivots
+    for c in range(ncols):
+        if len(pivots) == nrows:
+            break
+        r = len(pivots)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        # the pivot row is zero left of c, so row operations start at c
+        top = rows[r]
+        if top[c] != 1:
+            inv = pow(top[c], -1, p)
+            top[c:] = [inv * x % p for x in top[c:]]
+        tail = top[c:]
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if f and i != r:
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+    return rows, pivots
+
+
 def rref(a: Matrix) -> RrefResult:
     """Reduced row echelon form by Gauss-Jordan elimination.
 
     Returns the echelon matrix, its rank, the pivot columns, and the
-    invertible row transform accumulated alongside the elimination.
+    invertible row transform, read off the elimination of [A | I].
     """
     _require_field(a.ring)
-    ring = a.ring
-    rows = [list(r) for r in a.entries]
-    trans = [list(r) for r in Matrix.identity(ring, a.nrows).entries]
-    pivots = []
-    r = 0
-    for c in range(a.ncols):
-        pivot = next((i for i in range(r, a.nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        trans[r], trans[pivot] = trans[pivot], trans[r]
-        inv = ring.inv(rows[r][c])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
-        trans[r] = [ring.mul(inv, x) for x in trans[r]]
-        for i in range(a.nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-                trans[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(trans[i], trans[r])]
-        pivots.append(c)
-        r += 1
-        if r == a.nrows:
-            break
+    ring, n, m = a.ring, a.ncols, a.nrows
+    rows, pivots = _eliminate(
+        [list(r) + [0] * i + [1] + [0] * (m - 1 - i) for i, r in enumerate(a.entries)],
+        ring.p, n)
     return RrefResult(
-        matrix=Matrix(ring, a.nrows, a.ncols, rows),
-        rank=r,
+        matrix=Matrix(ring, m, n, [r[:n] for r in rows]),
+        rank=len(pivots),
         pivot_cols=tuple(pivots),
-        transform=Matrix(ring, a.nrows, a.nrows, trans),
+        transform=Matrix(ring, m, m, [r[n:] for r in rows]),
     )
 
 
@@ -74,29 +111,57 @@ def _echelon_columns(ring, ambient, vectors):
 
     Returns (basis columns, pivot rows).
     """
-    vecs = [v for v in vectors]
-    if not vecs:
+    if not vectors:
         return [], ()
-    res = rref(Matrix.from_rows(ring, vecs))
-    cols = [res.matrix.row(i) for i in range(res.rank)]
-    return cols, res.pivot_cols
+    rows, pivots = _eliminate([list(v) for v in vectors], ring.p, ambient)
+    return rows[:len(pivots)], tuple(pivots)
 
 
 def nullspace(a: Matrix) -> "Submodule":
-    """Canonical basis of the right kernel {v : Av = 0} over a prime field."""
+    """Canonical basis of the right kernel {v : Av = 0} over a prime field.
+
+    One elimination of A with its columns reversed.  There the kernel
+    vector of each free column f is 1 at f, 0 at every other free column
+    and elsewhere nonzero only at pivot columns before f.  Read back in
+    the original order, f becomes its leading entry, so the vectors are
+    already the reduced column echelon basis.
+    """
     _require_field(a.ring)
-    ring = a.ring
-    res = rref(a)
-    pivot_set = set(res.pivot_cols)
-    free = [c for c in range(a.ncols) if c not in pivot_set]
-    vectors = []
+    ring, n, p = a.ring, a.ncols, a.ring.p
+    rows, pivots = _eliminate([list(reversed(r)) for r in a.entries], p, n)
+    free = sorted(set(range(n)).difference(pivots), reverse=True)
+    cols = []
     for f in free:
-        v = [ring.zero] * a.ncols
-        v[f] = ring.one
-        for i, pc in enumerate(res.pivot_cols):
-            v[pc] = ring.neg(res.matrix.entries[i][f])
-        vectors.append(tuple(v))
-    return Submodule.from_columns(ring, a.ncols, vectors)
+        v = [0] * n
+        v[n - 1 - f] = 1
+        for row, pc in zip(rows, pivots):
+            v[n - 1 - pc] = -row[f] % p
+        cols.append(v)
+    basis = Matrix.from_columns(ring, cols, nrows=n) if cols else Matrix.zeros(ring, n, 0)
+    return Submodule(ring, n, "field", basis=basis,
+                     pivot_rows=tuple(n - 1 - f for f in free))
+
+
+def _solve_columns(a: Matrix, rhs) -> list:
+    """For each right-hand side c in ``rhs`` (a list of columns), some x
+    with A x = c or None; one elimination of [A | c_1 ... c_k].
+
+    Free variables are pinned to zero, so witnesses are reproducible.
+    """
+    n, k = a.ncols, len(rhs)
+    rows, pivots = _eliminate([list(r) + [c[i] for c in rhs]
+                               for i, r in enumerate(a.entries)], a.ring.p, n)
+    rank = len(pivots)
+    out = []
+    for j in range(n, n + k):
+        if any(row[j] for row in rows[rank:]):
+            out.append(None)
+            continue
+        x = [0] * n
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[j]
+        out.append(tuple(x))
+    return out
 
 
 def solve(a: Matrix, b) -> tuple | None:
@@ -108,15 +173,17 @@ def solve(a: Matrix, b) -> tuple | None:
     _require_field(a.ring)
     if len(b) != a.nrows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.nrows} rows")
-    ring = a.ring
-    res = rref(a)
-    tb = res.transform.matvec(tuple(ring.normalize(x) for x in b))
-    if any(tb[i] != ring.zero for i in range(res.rank, a.nrows)):
-        return None
-    x = [ring.zero] * a.ncols
-    for i, pc in enumerate(res.pivot_cols):
-        x[pc] = tb[i]
-    return tuple(x)
+    return _solve_columns(a, [tuple(a.ring.normalize(x) for x in b)])[0]
+
+
+def solve_pair(a: Matrix, b: Matrix, us) -> list:
+    """For each u in ``us``, the x that ``solve(a, -B u)`` returns, or
+    None; every system is answered by one elimination of
+    [A | -B u_1 ... -B u_k]."""
+    _require_field(a.ring)
+    p = a.ring.p
+    rhs = [tuple(-sum(map(mul, row, u)) % p for row in b.entries) for u in us]
+    return _solve_columns(a, rhs)
 
 
 def image(a: Matrix) -> "Submodule":

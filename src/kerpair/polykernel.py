@@ -276,7 +276,11 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     basis; exactness of the projection means those generators already
     span ker(A|B), no saturation pass needed.
     """
-    return _projection_pair(a, b, lambda m: poly_kernel(m).submodule, poly_solve)
+    def solve_pair(a, b, us):
+        neg_b = -b
+        return [poly_solve(a, neg_b.matvec(u)) for u in us]
+
+    return _projection_pair(a, b, lambda m: poly_kernel(m).submodule, solve_pair)
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

@@ -14,6 +14,7 @@ elements always compare equal structurally.
 """
 
 import functools
+import itertools
 import math
 
 from .errors import (
@@ -27,39 +28,86 @@ from .errors import (
 MAX_MODULUS = 2**62
 
 
+#: The first twelve primes: as Miller-Rabin bases they decide primality
+#: exactly for every n < 3.18e23, far beyond MAX_MODULUS.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
+    """Deterministic Miller-Rabin primality test (exact below 3.18e23)."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
+def _pollard_brent(n: int) -> int:
+    """A nontrivial divisor of an odd composite n: Pollard's rho with
+    Brent's cycle detection and batched gcds (Brent 1980).  The walk
+    y -> y^2 + c starts at 2 with c = 1, 2, ..., so the result is
+    deterministic; a c whose walk closes mod every factor at once gives
+    gcd n and is skipped."""
+    batch = 128
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            # the batch overshot: step again from its start one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Return the prime factorization of ``n >= 2`` as (prime, exponent) pairs."""
+    """Return the prime factorization of ``n >= 2`` as (prime, exponent)
+    pairs, ascending: powers of two by shifting, odd composites split by
+    Pollard-Brent until every part passes ``is_prime``."""
     if n < 2:
         raise ValueError(f"cannot factorize {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
+    twos = (n & -n).bit_length() - 1
+    counts = {2: twos} if twos else {}
+    parts = [n >> twos]
+    while parts:
+        m = parts.pop()
+        if m == 1:
+            continue
+        if is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            parts += [d, m // d]
+    return sorted(counts.items())
 
 
 def crt_idempotents(primes: tuple[int, ...], m: int) -> tuple[int, ...]:

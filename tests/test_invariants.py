@@ -56,7 +56,7 @@ def run(tmp_path, text, argv):
 
 
 def test_missing_field_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(kerpair.kernel, "solve", lambda a, c: None)
+    monkeypatch.setattr(kerpair.kernel, "solve_pair", lambda a, b, us: [None] * len(us))
     a = Matrix(PrimeField(5), 2, 1, [[1], [0]])
     b = Matrix(PrimeField(5), 2, 2, [[1, 0], [0, 0]])
     with pytest.raises(ConsistencyViolatedError):

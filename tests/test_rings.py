@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,49 @@ def test_make_ring_dispatch():
 def test_is_prime_and_factorize():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+
+
+def trial_factorize(n):
+    out, d = [], 2
+    while d * d <= n:
+        k = 0
+        while n % d == 0:
+            n //= d
+            k += 1
+        if k:
+            out.append((d, k))
+        d += 1
+    return out + [(n, 1)] if n > 1 else out
+
+
+def test_is_prime_and_factorize_match_trial_division():
+    for n in range(20_000):
+        assert is_prime(n) == (n >= 2 and trial_factorize(n) == [(n, 1)]), n
+        if n >= 2:
+            assert factorize(n) == trial_factorize(n), n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PrimeField(2**61 - 1),
+    lambda: ModRing((2**31 - 1) * (2**31 - 19)),
+    lambda: ModRing(2**62),
+], ids=["GF(2^61-1)", "Z/(2^31-1)(2^31-19)", "Z/2^62"])
+def test_ring_constructors_fast_at_max_modulus(build):
+    # trial division ran for more than 20 s on the first two; the best of
+    # three tries keeps a busy host from failing the bound
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        build()
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.05
+
+
+def test_factorize_at_max_modulus():
+    assert ModRing((2**31 - 1) * (2**31 - 19)).primes == (2**31 - 19, 2**31 - 1)
+    assert factorize(2**62) == [(2, 62)]
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert factorize(3**39) == [(3, 39)]
 
 
 @settings(max_examples=200)
