@@ -2,8 +2,8 @@
 """Kernels of polynomial matrices over GF(p)[z].
 
 GF(p)[z] is a principal ideal domain, so kernels of matrices over it
-are free modules; poly_kernel finds a minimal-degree basis by sweeping
-linearizations of increasing degree, and the column Hermite normal form
+are free modules; poly_kernel reads a basis off the unimodular transform
+of one column Hermite reduction, and the column Hermite normal form
 gives each kernel one canonical presentation.
 
 Run: python3 demos/03_polynomial_matrix_kernels.py
@@ -48,8 +48,10 @@ G = Matrix.from_columns(R, [((0, 2),), ((0, 0, 1),)], nrows=1)  # [2z, z^2]
 print("hermite([2z, z^2]) =", [show(c) for c in hermite_form(G).columns()])
 print()
 
-# An independent construction: column-reduce [A] by a unimodular U so
-# A.U = [H | 0]; the trailing columns of U are a kernel basis.
+# The construction behind poly_kernel: column-reduce [A] by a unimodular
+# U so A.U = [H | 0]; the trailing columns of U are a kernel basis.  The
+# two lines agree by construction (kernel_via_unimodular is an alias);
+# the first label keeps its old wording so the printed output is stable.
 B = Matrix(R, 1, 2, [[z, z]])
 print("A = [z, z]")
 print("  degree sweep     :",

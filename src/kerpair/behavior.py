@@ -180,9 +180,10 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
     the joint and relative kernels have equal rank, and every admissible
     u(z) of degree <= degree_bound must admit a polynomial state witness.
     Witness existence is linear in u, so checking it on the z-shifted
-    Hermite generators covers every bounded-degree member.
+    Hermite generators covers every bounded-degree member; one Hermite
+    reduction of zI - A answers all of them.
     """
-    from .polykernel import kernel_pair_poly, poly_kernel, poly_member
+    from .polykernel import _solve_columns, kernel_pair_poly, poly_kernel
 
     p_matrix, b_poly = pencil(sys)
     ring = p_matrix.ring
@@ -194,17 +195,18 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
         out.append(
             f"rank ker(zI-A, B) = {result.ker_pair.rank} != "
             f"rank ker(zI-A | B) = {result.ker_bar.rank}")
+    shifts = []
     for j, col in enumerate(result.ker_bar.basis.columns()):
         top = max(degree_bound - max(len(e) - 1 for e in col if e), 0)
         for k in range(top + 1):
             shifted = tuple(ring.mul(e, (0,) * k + (1,)) for e in col)
-            x = poly_member(p_matrix, b_poly, shifted)
-            if x is None:
-                out.append(f"generator {j} shifted by z^{k} lost its witness")
-                continue
-            residual = tuple(ring.add(s, t)
-                             for s, t in zip(p_matrix.matvec(x),
-                                             b_poly.matvec(shifted)))
-            if any(e != ring.zero for e in residual):
-                out.append(f"witness for generator {j} shifted by z^{k} fails")
+            shifts.append((j, k, b_poly.matvec(shifted)))
+    xs = _solve_columns(p_matrix, [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
+    for (j, k, bu), x in zip(shifts, xs):
+        if x is None:
+            out.append(f"generator {j} shifted by z^{k} lost its witness")
+            continue
+        residual = tuple(ring.add(s, t) for s, t in zip(p_matrix.matvec(x), bu))
+        if any(e != ring.zero for e in residual):
+            out.append(f"witness for generator {j} shifted by z^{k} fails")
     return out

@@ -337,11 +337,12 @@ def cmd_member(args, out) -> int:
     u = parse_vector(ring, args.vector, b.ncols)
     if isinstance(ring, PolyRing) and not ring.coeff_is_prime:
         raise MethodUnavailableError(f"membership over {ring!r} is not supported")
-    x = crt.solver(a)((-b).matvec(u))
+    bu = b.matvec(u)
+    x = crt.solver(a)(tuple(map(ring.neg, bu)))
     doc = {"command": "member", "ring": _ring_doc(ring),
            "vector": _vector_doc(ring, u), "member": x is not None}
     if x is not None:
-        residual = tuple(ring.add(p, q) for p, q in zip(a.matvec(x), b.matvec(u)))
+        residual = tuple(ring.add(p, q) for p, q in zip(a.matvec(x), bu))
         if any(e != ring.zero for e in residual):
             raise ConsistencyViolatedError(f"witness {x!r} leaves residual {residual!r}")
         doc.update(witness=_vector_doc(ring, x), verified=True,

@@ -62,8 +62,8 @@ class BaseChangeViolatedError(KerpairError):
 
 class ConsistencyViolatedError(KerpairError):
     """A computed result failed its own invariant: a witness that does not
-    verify, a periodic solve that does not close, a degree sweep that does
-    not saturate, or dynamical and polynomial pictures that disagree.
+    verify, a kernel vector without a section witness, a periodic solve
+    that does not close, or dynamical and polynomial pictures that disagree.
     This is a defect in the program, not in the input."""
 
 

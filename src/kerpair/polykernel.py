@@ -6,22 +6,19 @@ generating sets into column Hermite normal form, and builds kernel
 pairs with their split-sequence witnesses over GF(p)[z] and, glued
 componentwise, over (Z/m)[z] for square-free m.
 
-The kernel algorithm is a degree sweep: kernel vectors of degree <= D
-are exactly the nullspace of a scalar coefficient matrix M_D, and
-greedily collecting vectors of minimal degree that stay independent
-over the fraction field K(z) yields a minimal polynomial basis, which
-generates the full kernel module (not merely a K(z)-basis; a
-fraction-free elimination basis can miss non-saturated directions).
+Everything here is read off one computation, the column Hermite
+reduction A U = [H | 0] with U unimodular: the rank over the fraction
+field is the number of pivots of H, the trailing columns of U are a
+basis of ker A (unimodularity makes them generate the whole kernel
+module, not merely a GF(p)(z)-basis of it), and A x = c is solved by
+division against H.  The scalar linearization, whose nullspace holds
+every kernel vector of degree <= D, is kept only as the saturation
+oracle of ``verify`` and the tests.
 """
 
 from dataclasses import dataclass
 
-from .errors import (
-    ConsistencyViolatedError,
-    DimensionMismatchError,
-    NotAFieldError,
-    RingMismatchError,
-)
+from .errors import DimensionMismatchError, NotAFieldError, RingMismatchError
 from .kernel import _projection_pair
 from .linalg import Submodule, nullspace
 from .matrix import Matrix
@@ -61,32 +58,12 @@ class PolyKernelBasis:
 
 
 def rank_over_fractions(a: Matrix) -> int:
-    """Rank of a polynomial matrix over the fraction field GF(p)(z).
-
-    Fraction-free elimination: rows are cross-multiplied instead of
-    divided, which only ever scales rows by nonzero polynomials.
-    """
-    ring = a.ring
-    rows = [list(r) for r in a.entries]
-    rank = 0
-    for c in range(a.ncols):
-        pivot = next((i for i in range(rank, a.nrows) if rows[i][c] != ring.zero), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, a.nrows):
-            if rows[i][c] != ring.zero:
-                f, g = pr[c], rows[i][c]
-                rows[i] = [ring.sub(ring.mul(f, x), ring.mul(g, y))
-                           for x, y in zip(rows[i], pr)]
-        rank += 1
-        if rank == a.nrows:
-            break
-    return rank
+    """Rank of a polynomial matrix over the fraction field GF(p)(z): the
+    number of Hermite pivots, since unimodular column operations keep it."""
+    return len(hermite_with_transform(a)[2])
 
 
-# -- degree-sweep kernel -----------------------------------------------------
+# -- kernel and saturation oracle --------------------------------------------
 
 
 def linearized_matrix(a: Matrix, bound: int) -> Matrix:
@@ -130,31 +107,11 @@ def kernel_vectors_up_to(a: Matrix, bound: int) -> list:
 def poly_kernel(a: Matrix) -> PolyKernelBasis:
     """Hermite-form basis of {v : A v = 0} over GF(p)[z].
 
-    Sweeps degrees 0..min(p,q)*d collecting nullspace vectors that are
-    independent over K(z), smallest degree first with lexicographic
-    tie-breaks; the degree bound comes from Cramer-style estimates on
-    minimal indices, and the result is a minimal basis, hence generates
-    the kernel module.
+    With A U = [H | 0] and U unimodular, the trailing columns of U span
+    ker A exactly; their Hermite form is the canonical basis.
     """
-    _require_poly_field(a.ring)
-    ring = a.ring
-    target = a.ncols - rank_over_fractions(a)
-    if target == 0:
-        return hermite_basis(Matrix.zeros(ring, a.ncols, 0))
-    bound = min(a.nrows, a.ncols) * matrix_degree(a)
-    selected = []
-    for sweep in range(bound + 1):
-        candidates = [v for v in kernel_vectors_up_to(a, sweep)
-                      if any(e != ring.zero for e in v)]
-        candidates.sort(key=lambda v: (vector_degree(v), v))
-        for v in candidates:
-            trial = Matrix.from_columns(ring, selected + [v], nrows=a.ncols)
-            if rank_over_fractions(trial) == len(selected) + 1:
-                selected.append(v)
-                if len(selected) == target:
-                    return hermite_basis(trial)
-    raise ConsistencyViolatedError(
-        f"degree bound {bound} failed to saturate a rank-{target} kernel")
+    h, u, _ = hermite_with_transform(a)
+    return hermite_basis(Matrix.from_columns(a.ring, u.columns()[h.ncols:], nrows=a.ncols))
 
 
 # -- Hermite normal form -----------------------------------------------------
@@ -218,11 +175,9 @@ def hermite_with_transform(g: Matrix):
             q, _ = ring.divmod(basis[k][0][r], basis[j][0][r])
             if q != ring.zero:
                 _column_op(ring, basis[k], basis[j], q)
-    h = (Matrix.from_columns(ring, [b[0] for b in basis], nrows=g.nrows)
-         if basis else Matrix.zeros(ring, g.nrows, 0))
-    ucols = [b[1] for b in basis] + [wc[1] for wc in work]
-    u = Matrix.from_columns(ring, ucols, nrows=g.ncols) if ucols else \
-        Matrix.zeros(ring, g.ncols, 0)
+    h = Matrix.from_columns(ring, [b[0] for b in basis], nrows=g.nrows)
+    u = Matrix.from_columns(ring, [b[1] for b in basis] + [wc[1] for wc in work],
+                            nrows=g.ncols)
     return h, u, tuple(pivot_rows)
 
 
@@ -241,11 +196,24 @@ def hermite_basis(g: Matrix) -> PolyKernelBasis:
 
 
 def kernel_via_unimodular(a: Matrix) -> Submodule:
-    """Independent kernel computation: the trailing transform columns of
-    the Hermite reduction A U = [H | 0] span ker(A) exactly."""
-    h, u, _ = hermite_with_transform(a)
-    tail = [u.column(j) for j in range(h.ncols, u.ncols)]
-    return Submodule.from_columns(a.ring, a.ncols, tail)
+    """ker(A) as a submodule: an alias of poly_kernel(a).submodule."""
+    return poly_kernel(a).submodule
+
+
+def _solve_columns(a: Matrix, cs) -> list:
+    """For each c in ``cs``, what poly_solve(a, c) returns, from one
+    Hermite reduction of A."""
+    for c in cs:
+        if len(c) != a.nrows:
+            raise DimensionMismatchError(f"rhs length {len(c)} != {a.nrows} rows")
+    h, u, pivot_rows = hermite_with_transform(a)
+    hermite = Submodule(a.ring, a.nrows, "poly", basis=h, pivot_rows=pivot_rows)
+    pad = (a.ring.zero,) * (u.ncols - h.ncols)
+    out = []
+    for c in cs:
+        coords = hermite.contains(c)
+        out.append(None if coords is None else u.matvec(coords + pad))
+    return out
 
 
 def poly_solve(a: Matrix, c) -> tuple | None:
@@ -256,14 +224,7 @@ def poly_solve(a: Matrix, c) -> tuple | None:
     an exact division or the system is unsolvable.  Coordinates off the
     Hermite basis are pinned to zero, making the witness deterministic.
     """
-    if len(c) != a.nrows:
-        raise DimensionMismatchError(f"rhs length {len(c)} != {a.nrows} rows")
-    h, u, pivot_rows = hermite_with_transform(a)
-    hermite = Submodule(a.ring, a.nrows, "poly", basis=h, pivot_rows=pivot_rows)
-    coords = hermite.contains(c)
-    if coords is None:
-        return None
-    return u.matvec(coords + (a.ring.zero,) * (u.ncols - len(coords)))
+    return _solve_columns(a, [c])[0]
 
 
 # -- kernel pairs over GF(p)[z] ----------------------------------------------
@@ -277,8 +238,7 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     span ker(A|B), no saturation pass needed.
     """
     def solve_pair(a, b, us):
-        neg_b = -b
-        return [poly_solve(a, neg_b.matvec(u)) for u in us]
+        return _solve_columns(a, [tuple(map(b.ring.neg, b.matvec(u))) for u in us])
 
     return _projection_pair(a, b, lambda m: poly_kernel(m).submodule, solve_pair)
 
@@ -286,7 +246,7 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:
     """Witness x(z) with A x + B u = 0, or None when u is not in ker(A|B):
     one Hermite solve of A x = -B u."""
-    return poly_solve(a, (-b).matvec(u))
+    return poly_solve(a, tuple(map(b.ring.neg, b.matvec(u))))
 
 
 # -- local-global over (Z/m)[z] ----------------------------------------------

@@ -1,5 +1,6 @@
 """Runtime invariants are explicit checks raising ConsistencyViolatedError
-(they survive ``python -O``), and the CLI reports them with exit code 2."""
+(they survive ``python -O``), and the CLI reports them with exit code 2;
+a failed ``verify`` check is reported as a violation with exit code 1."""
 
 import io
 
@@ -21,9 +22,8 @@ from kerpair import (
     admissible,
     kernel_pair_poly,
     kernel_pair_projection,
-    poly_kernel,
 )
-from kerpair.cli import main
+from kerpair.cli import main, verify_instance
 
 GF_FILE = """\
 ring gf 5
@@ -65,17 +65,24 @@ def test_missing_field_witness(tmp_path, monkeypatch):
 
 
 def test_missing_poly_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(kerpair.polykernel, "poly_solve", lambda a, c: None)
+    monkeypatch.setattr(kerpair.polykernel, "_solve_columns", lambda a, cs: [None] * len(cs))
     ring = PolyRing(2)
     with pytest.raises(ConsistencyViolatedError):
         kernel_pair_poly(Matrix(ring, 1, 1, [[(0, 1)]]), Matrix(ring, 1, 1, [[(1,)]]))
     assert run(tmp_path, POLY_FILE, ["kernel-pair", "FILE", "A", "B"]) == 2
 
 
-def test_unsaturated_degree_sweep(monkeypatch):
-    monkeypatch.setattr(kerpair.polykernel, "kernel_vectors_up_to", lambda a, bound: [])
-    with pytest.raises(ConsistencyViolatedError):
-        poly_kernel(Matrix(PolyRing(3), 1, 2, [[(1,), (0, 1)]]))
+def test_saturation_oracle_vector_outside_the_kernel(tmp_path, monkeypatch):
+    """An oracle vector that the computed ker_f1 does not contain is a
+    ``saturation`` violation of verify (exit 1), not a crash."""
+    monkeypatch.setattr(kerpair.polykernel, "kernel_vectors_up_to",
+                        lambda a, bound: [((1,),) * a.ncols])
+    ring = PolyRing(2)
+    a, b = Matrix(ring, 1, 1, [[(0, 1)]]), Matrix(ring, 1, 1, [[(1,)]])
+    checks = dict(verify_instance(a, b, collect=True))
+    assert checks["saturation"]
+    assert not any(v for name, v in checks.items() if name != "saturation")
+    assert run(tmp_path, POLY_FILE, ["verify", "FILE", "A", "B"]) == 1
 
 
 def test_member_witness_that_does_not_verify(tmp_path, monkeypatch):

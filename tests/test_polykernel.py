@@ -1,8 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
 
+import kerpair.polykernel as polykernel
 from kerpair import (
     Matrix,
     NotAFieldError,
@@ -28,6 +30,7 @@ from kerpair import (
     reduce_poly_matrix,
     submodule_equal,
 )
+from kerpair.crt import kernel_pair
 
 F2Z = PolyRing(2)
 F3Z = PolyRing(3)
@@ -36,6 +39,30 @@ Z = (0, 1)
 
 def pm(ring, rows):
     return Matrix(ring, len(rows), len(rows[0]), rows)
+
+
+def fraction_free_rank(a):
+    """Rank over GF(p)(z) by fraction-free elimination, rows cross-multiplied
+    instead of divided: a reference independent of the Hermite reduction
+    (entry degrees double at every step, so only for small matrices)."""
+    ring = a.ring
+    rows = [list(r) for r in a.entries]
+    rank = 0
+    for c in range(a.ncols):
+        pivot = next((i for i in range(rank, a.nrows) if rows[i][c] != ring.zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pr = rows[rank]
+        for i in range(rank + 1, a.nrows):
+            if rows[i][c] != ring.zero:
+                f, g = pr[c], rows[i][c]
+                rows[i] = [ring.sub(ring.mul(f, x), ring.mul(g, y))
+                           for x, y in zip(rows[i], pr)]
+        rank += 1
+        if rank == a.nrows:
+            break
+    return rank
 
 
 def test_kernel_of_equal_columns():
@@ -68,7 +95,21 @@ def test_zero_and_full_kernels():
 def test_matrix_and_vector_degrees():
     a = pm(F3Z, [[(1, 2), ()], [(0, 0, 1), (2,)]])
     assert matrix_degree(a) == 2
-    assert rank_over_fractions(a) == 2
+    assert rank_over_fractions(a) == fraction_free_rank(a) == 2
+    singular = pm(F3Z, [[(1,), Z], [Z, (0, 0, 1)]])  # column 2 = z * column 1
+    assert rank_over_fractions(singular) == fraction_free_rank(singular) == 1
+
+
+def test_rank_of_16x16_degree_1_is_fast():
+    # fraction-free elimination did not finish in 20 s at this size; the
+    # best of three tries keeps a busy host from failing the bound
+    a = random_matrix(PolyRing(5), 16, 16, random.Random(16), max_degree=1)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        assert rank_over_fractions(a) == 16
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
 
 
 def test_hermite_fixture_scaling():
@@ -145,14 +186,48 @@ def test_kernel_annihilates_and_saturates():
             for col in kb.basis.columns():
                 assert a.matvec(col) == (ring.zero,) * a.nrows
             assert kb.rank == a.ncols - rank_over_fractions(a)
+            assert rank_over_fractions(a) == fraction_free_rank(a)
             # saturation: every low-degree kernel vector is an exact
             # K[z]-combination of the basis
             bound = min(a.nrows, a.ncols) * max(matrix_degree(a), 1) + 2
             sub = kb.submodule
             for v in kernel_vectors_up_to(a, bound):
                 assert sub.contains(v) is not None
-            # independent oracle via the unimodular factorization
+            # kernel_via_unimodular is an alias; the oracle above is the check
             assert submodule_equal(sub, kernel_via_unimodular(a))
+
+
+def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
+    """A GF(7)[z] kernel pair runs a fixed number of Hermite reductions,
+    whatever dim ker_bar is, and never the degree-bounded nullspaces; the
+    section is one batched solve, not one per column."""
+    calls = {"hermite": 0, "sweep": 0}
+    real = polykernel.hermite_with_transform
+
+    def counted(g):
+        calls["hermite"] += 1
+        return real(g)
+
+    def forbidden(a, bound):
+        calls["sweep"] += 1
+        return []
+
+    monkeypatch.setattr(polykernel, "hermite_with_transform", counted)
+    monkeypatch.setattr(polykernel, "kernel_vectors_up_to", forbidden)
+    ring = PolyRing(7)
+    rng = random.Random(7)
+    a = random_matrix(ring, 5, 2, rng, max_degree=1)
+    counts, dims = [], []
+    for b in (random_matrix(ring, 5, 5, rng, max_degree=1),
+              a @ random_matrix(ring, 2, 5, rng, max_degree=1)):
+        calls["hermite"] = 0
+        result, witness = kernel_pair(a, b)
+        counts.append(calls["hermite"])
+        dims.append(result.ker_bar.dim)
+        assert witness.section.ncols == result.ker_bar.dim
+    assert dims[1] - dims[0] >= 3, dims
+    assert calls["sweep"] == 0
+    assert counts[0] == counts[1] <= 6, counts
 
 
 def test_poly_kernel_requires_prime_coefficients():
