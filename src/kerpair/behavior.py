@@ -104,9 +104,16 @@ def simulate(sys: SystemPair, x0, inputs) -> Trajectory:
 
 
 def _matrix_power(a: Matrix, k: int) -> Matrix:
-    out = Matrix.identity(a.ring, a.nrows)
-    for _ in range(k):
-        out = out @ a
+    """A^k by left-to-right square-and-multiply (Knuth, TAOCP vol. 2,
+    4.6.3): one squaring per bit of k after the leading one, and one
+    product by A per set bit among them."""
+    if k == 0:
+        return Matrix.identity(a.ring, a.nrows)
+    out = a
+    for bit in bin(k)[3:]:
+        out = out @ out
+        if bit == "1":
+            out = out @ a
     return out
 
 
@@ -132,7 +139,8 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     free: always admissible, witness starts at 0.
     fixed: the unique trajectory from query.x0.
     periodic: solve (A^T - I) x(0) = -x_zero(T) where x_zero is the
-      zero-initial response; then x(T) = x(0) exactly.
+      zero-initial response; then x(T) = x(0) exactly.  A^T comes from
+      square-and-multiply, about log2 T + popcount(T) products.
     """
     inputs = _normalize_inputs(sys, query.inputs)
     ring = sys.ring

@@ -12,7 +12,6 @@ submodules over polynomial rings by a column Hermite basis; see
 """
 
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
 from .matrix import Matrix
@@ -99,10 +98,10 @@ def rref(a: Matrix) -> RrefResult:
         [list(r) + [0] * i + [1] + [0] * (m - 1 - i) for i, r in enumerate(a.entries)],
         ring.p, n)
     return RrefResult(
-        matrix=Matrix(ring, m, n, [r[:n] for r in rows]),
+        matrix=Matrix._canonical(ring, m, n, [r[:n] for r in rows]),
         rank=len(pivots),
         pivot_cols=tuple(pivots),
-        transform=Matrix(ring, m, m, [r[n:] for r in rows]),
+        transform=Matrix._canonical(ring, m, m, [r[n:] for r in rows]),
     )
 
 
@@ -137,7 +136,8 @@ def nullspace(a: Matrix) -> "Submodule":
         for row, pc in zip(rows, pivots):
             v[n - 1 - pc] = -row[f] % p
         cols.append(v)
-    basis = Matrix.from_columns(ring, cols, nrows=n) if cols else Matrix.zeros(ring, n, 0)
+    basis = Matrix._canonical(ring, n, len(cols), zip(*cols)) if cols else \
+        Matrix.zeros(ring, n, 0)
     return Submodule(ring, n, "field", basis=basis,
                      pivot_rows=tuple(n - 1 - f for f in free))
 
@@ -182,7 +182,7 @@ def solve_pair(a: Matrix, b: Matrix, us) -> list:
     [A | -B u_1 ... -B u_k]."""
     _require_field(a.ring)
     p = a.ring.p
-    rhs = [tuple(-sum(map(mul, row, u)) % p for row in b.entries) for u in us]
+    rhs = [tuple(-x % p for x in b.matvec(u)) for u in us]
     return _solve_columns(a, rhs)
 
 
@@ -226,7 +226,7 @@ class Submodule:
                 for i, local in enumerate(split.locals)])
         if isinstance(ring, PrimeField):
             cols, pivots = _echelon_columns(ring, ambient, columns)
-            basis = Matrix.from_columns(ring, cols, nrows=ambient) if cols else \
+            basis = Matrix._canonical(ring, ambient, len(cols), zip(*cols)) if cols else \
                 Matrix.zeros(ring, ambient, 0)
             return cls(ring, ambient, "field", basis=basis, pivot_rows=pivots)
         from .polykernel import hermite_form

@@ -3,9 +3,22 @@
 A matrix over a ring R with q columns and p rows represents the R-linear
 map R^q -> R^p whose columns are the images of the standard basis
 vectors.  Entries are canonical ring elements; all operations are pure.
+
+Products over GF(p) and Z/m (``PrimeField``, ``ModRing``) run on the
+integers with one reduction mod q per entry; over polynomial rings they
+go through the ring's methods.
 """
 
+import functools
+from operator import mul
+
 from .errors import DimensionMismatchError, RingMismatchError
+from .rings import ModRing, PrimeField
+
+
+def _modulus(ring):
+    """q for Z/q (GF(p) or Z/m), whose products run inline; else None."""
+    return ring.size if isinstance(ring, (PrimeField, ModRing)) else None
 
 
 class Matrix:
@@ -26,6 +39,18 @@ class Matrix:
         self.entries = rows
 
     @classmethod
+    def _canonical(cls, ring, nrows, ncols, rows):
+        """A matrix whose ``rows`` already hold canonical entries in the
+        stated shape, as every ring operation and elimination returns them;
+        they are stored without ``ring.normalize``."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = tuple(map(tuple, rows))
+        return self
+
+    @classmethod
     def from_rows(cls, ring, rows):
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
@@ -43,13 +68,13 @@ class Matrix:
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):
-        z = ring.zero
-        return cls(ring, nrows, ncols, [[z] * ncols for _ in range(nrows)])
+        return cls._canonical(ring, nrows, ncols, [(ring.zero,) * ncols] * nrows)
 
     @classmethod
     def identity(cls, ring, n):
         z, o = ring.zero, ring.one
-        return cls(ring, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._canonical(ring, n, n,
+                              [[o if i == j else z for j in range(n)] for i in range(n)])
 
     def row(self, i) -> tuple:
         return self.entries[i]
@@ -61,8 +86,8 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.ncols, self.nrows,
-                      [self.column(i) for i in range(self.ncols)])
+        return Matrix._canonical(self.ring, self.ncols, self.nrows,
+                                 [self.column(i) for i in range(self.ncols)])
 
     def map_entries(self, func, ring=None) -> "Matrix":
         """Apply ``func`` entrywise, optionally landing in a different ring."""
@@ -79,22 +104,22 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatchError("matrix addition shape mismatch")
         add = self.ring.add
-        return Matrix(self.ring, self.nrows, self.ncols,
-                      [[add(a, b) for a, b in zip(ra, rb)]
-                       for ra, rb in zip(self.entries, other.entries)])
+        return Matrix._canonical(self.ring, self.nrows, self.ncols,
+                                 [map(add, ra, rb)
+                                  for ra, rb in zip(self.entries, other.entries)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         neg = self.ring.neg
-        return Matrix(self.ring, self.nrows, self.ncols,
-                      [[neg(a) for a in row] for row in self.entries])
+        return Matrix._canonical(self.ring, self.nrows, self.ncols,
+                                 [map(neg, row) for row in self.entries])
 
     def scale(self, c) -> "Matrix":
-        mul = self.ring.mul
-        return Matrix(self.ring, self.nrows, self.ncols,
-                      [[mul(c, a) for a in row] for row in self.entries])
+        ring_mul = self.ring.mul
+        return Matrix._canonical(self.ring, self.nrows, self.ncols,
+                                 [[ring_mul(c, a) for a in row] for row in self.entries])
 
     def __matmul__(self, other):
         self._check_same_ring(other)
@@ -103,32 +128,29 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        out = []
-        for i in range(self.nrows):
-            arow = self.entries[i]
-            orow = []
-            for j in range(other.ncols):
-                acc = zero
-                for k in range(self.ncols):
-                    acc = add(acc, mul(arow[k], other.entries[k][j]))
-                orow.append(acc)
-            out.append(orow)
-        return Matrix(ring, self.nrows, other.ncols, out)
+        # zip(*()) has no columns at all; an inner dimension of 0 still has
+        # other.ncols (empty) columns
+        cols = list(zip(*other.entries)) if other.nrows else [()] * other.ncols
+        q = _modulus(ring)
+        if q is not None:
+            rows = [[sum(map(mul, row, col)) % q for col in cols] for row in self.entries]
+        else:
+            add, ring_mul, zero = ring.add, ring.mul, ring.zero
+            rows = [[functools.reduce(add, map(ring_mul, row, col), zero) for col in cols]
+                    for row in self.entries]
+        return Matrix._canonical(ring, self.nrows, other.ncols, rows)
 
     def matvec(self, v) -> tuple:
         """Apply the matrix to a length-``ncols`` vector."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"vector length {len(v)} != {self.ncols} columns")
         ring = self.ring
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        out = []
-        for row in self.entries:
-            acc = zero
-            for a, x in zip(row, v):
-                acc = add(acc, mul(a, x))
-            out.append(acc)
-        return tuple(out)
+        q = _modulus(ring)
+        if q is not None:
+            return tuple(sum(map(mul, row, v)) % q for row in self.entries)
+        add, ring_mul, zero = ring.add, ring.mul, ring.zero
+        return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
+                     for row in self.entries)
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -157,8 +179,8 @@ def hstack(left: Matrix, right: Matrix) -> Matrix:
         raise RingMismatchError("hstack over different rings")
     if left.nrows != right.nrows:
         raise DimensionMismatchError("hstack row-count mismatch")
-    return Matrix(left.ring, left.nrows, left.ncols + right.ncols,
-                  [ra + rb for ra, rb in zip(left.entries, right.entries)])
+    return Matrix._canonical(left.ring, left.nrows, left.ncols + right.ncols,
+                             [ra + rb for ra, rb in zip(left.entries, right.entries)])
 
 
 def vstack(top: Matrix, bottom: Matrix) -> Matrix:
@@ -166,5 +188,5 @@ def vstack(top: Matrix, bottom: Matrix) -> Matrix:
         raise RingMismatchError("vstack over different rings")
     if top.ncols != bottom.ncols:
         raise DimensionMismatchError("vstack column-count mismatch")
-    return Matrix(top.ring, top.nrows + bottom.nrows, top.ncols,
-                  top.entries + bottom.entries)
+    return Matrix._canonical(top.ring, top.nrows + bottom.nrows, top.ncols,
+                             top.entries + bottom.entries)

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -17,8 +19,10 @@ from kerpair import (
     codeword_consistency,
     pencil,
     random_matrix,
+    rref,
     simulate,
 )
+from kerpair.behavior import _matrix_power
 
 GF2, GF3 = PrimeField(2), PrimeField(3)
 
@@ -186,6 +190,60 @@ def test_periodic_not_admissible_gf2():
 def test_unknown_boundary_rejected():
     with pytest.raises(ValueError):
         admissible(delay_system(), AdmissibleInputQuery((), "wrap"))
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30), ModRing(8), PolyRing(5)],
+                         ids=repr)
+def test_matrix_power_is_the_repeated_product(ring):
+    a = random_matrix(ring, 3, 3, random.Random(53), max_degree=1)
+    product = Matrix.identity(ring, 3)
+    for k in range(41):
+        assert _matrix_power(a, k) == product, k
+        product = product @ a
+
+
+def _periodic_query(n, horizon, seed):
+    """A system over GF(101) with A^T - I invertible, so that every input
+    sequence of length T is periodic-admissible, and such a sequence."""
+    rng = random.Random(seed)
+    ring = PrimeField(101)
+    eye = Matrix.identity(ring, n)
+    a = random_matrix(ring, n, n, rng)
+    while rref(_matrix_power(a, horizon) - eye).rank < n:
+        a = random_matrix(ring, n, n, rng)
+    sys = SystemPair(a, random_matrix(ring, n, 2, rng))
+    us = tuple((rng.randrange(101), rng.randrange(101)) for _ in range(horizon))
+    return sys, AdmissibleInputQuery(us, "periodic")
+
+
+def test_matrix_products_per_periodic_horizon(monkeypatch):
+    """A periodic horizon T costs O(log T) matrix products, not T."""
+    horizon = 1000
+    sys, query = _periodic_query(8, horizon, 61)
+    calls = []
+    real = Matrix.__matmul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    traj = admissible(sys, query)
+    assert traj is not None and traj.check(sys) == []
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(horizon)) + 1
+
+
+def test_periodic_horizon_500_is_fast():
+    # T products of 16x16 matrices through ring methods took 0.5-0.7 s; the
+    # best of three tries keeps a busy host from failing the bound
+    sys, query = _periodic_query(16, 500, 67)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        traj = admissible(sys, query)
+        times.append(time.perf_counter() - start)
+        assert traj is not None and traj.states[0] == traj.states[-1]
+    assert min(times) < 0.3
 
 
 def test_pencil_form():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerpair import (
     DimensionMismatchError,
@@ -111,3 +113,75 @@ def test_hashable():
     b = Matrix(GF5, 1, 1, [[2]])
     assert len({a, b}) == 1
     assert Matrix(ModRing(6), 1, 1, [[2]]) != a
+
+
+# -- products against the ring-method reference -----------------------------
+
+# Over GF(p) and Z/m ``__matmul__`` and ``matvec`` sum integer products and
+# reduce once mod q; the reference is the ring-method loop they replaced,
+# kept here unchanged: results must be equal exactly.
+
+def ref_matmul(a, b):
+    ring = a.ring
+    out = []
+    for i in range(a.nrows):
+        orow = []
+        for j in range(b.ncols):
+            acc = ring.zero
+            for k in range(a.ncols):
+                acc = ring.add(acc, ring.mul(a.entries[i][k], b.entries[k][j]))
+            orow.append(acc)
+        out.append(orow)
+    return Matrix(ring, a.nrows, b.ncols, out)
+
+
+def ref_matvec(a, v):
+    ring = a.ring
+    out = []
+    for row in a.entries:
+        acc = ring.zero
+        for x, y in zip(row, v):
+            acc = ring.add(acc, ring.mul(x, y))
+        out.append(acc)
+    return tuple(out)
+
+
+PRODUCT_RINGS = (PrimeField(2), PrimeField(101), PrimeField(2**31 - 1),
+                 PrimeField(2**61 - 1), ModRing(30), ModRing(12), ModRing(2**62))
+
+
+@st.composite
+def products(draw):
+    """(A, B, v) over one ring: A is r x k, B is k x c and v a length-k
+    vector whose entries may lie outside [0, q), negatives included; each
+    of r, k and c may be 0."""
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    q = ring.size
+    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
+    entry = st.one_of(st.integers(0, q - 1), st.sampled_from((0, 1, q - 1)))
+
+    def block(nrows, ncols):
+        return Matrix(ring, nrows, ncols, draw(st.lists(
+            st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)))
+
+    raw = st.one_of(entry, st.integers(-3 * q, -1), st.integers(q, 3 * q))
+    v = tuple(draw(st.lists(raw, min_size=k, max_size=k)))
+    return block(r, k), block(k, c), v
+
+
+@settings(max_examples=400, deadline=None)
+@given(products())
+def test_products_match_reference(instance):
+    a, b, v = instance
+    product = a @ b
+    assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
+    assert product == ref_matmul(a, b)
+    assert a.matvec(v) == ref_matvec(a, v)
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS + (PolyRing(5),), ids=repr)
+@pytest.mark.parametrize("r, k, c", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_products_with_an_empty_dimension(ring, r, k, c):
+    a, b = Matrix.zeros(ring, r, k), Matrix.zeros(ring, k, c)
+    assert a @ b == Matrix.zeros(ring, r, c) == ref_matmul(a, b)
+    assert a.matvec((ring.one,) * k) == (ring.zero,) * r
