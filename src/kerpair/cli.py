@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 violation / not a member / not admissible,
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -90,6 +91,8 @@ def parse_matrix_file(text: str):
             nrows, ncols = int(tokens[2]), int(tokens[3])
         except ValueError:
             raise MatrixParseError(f"bad dimensions in {lines[i]!r}", line=i + 1)
+        if nrows < 0 or ncols < 0:
+            raise MatrixParseError(f"negative dimensions in {lines[i]!r}", line=i + 1)
         i += 1
         rows = []
         while len(rows) < nrows:
@@ -106,11 +109,12 @@ def parse_matrix_file(text: str):
                     f"matrix {name!r} row has {len(entries)} entries, expected {ncols}",
                     line=i + 1)
             try:
-                rows.append([ring.parse(e) for e in entries])
+                rows.append(list(map(ring.parse, entries)))
             except ValueError as exc:
                 raise MatrixParseError(str(exc), line=i + 1)
             i += 1
-        matrices[name] = Matrix(ring, nrows, ncols, rows)
+        # ring.parse returns canonical elements, so nothing is re-normalized
+        matrices[name] = Matrix._canonical(ring, nrows, ncols, rows)
     if ring is None:
         raise MatrixParseError("empty matrix file", line=1)
     return ring, matrices
@@ -592,9 +596,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

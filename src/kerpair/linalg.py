@@ -1,5 +1,16 @@
 """Exact linear algebra over prime fields and canonical submodule presentations.
 
+Every elimination over GF(p) -- ``rref``, ``nullspace``, ``solve``,
+``solve_pair`` and ``Submodule.from_columns`` -- is one Gauss-Jordan
+run of ``_eliminate`` on packed rows.  A row is one Python int with a
+byte-aligned slot per column, column 0 in the most significant slot, so
+a row operation is one big-int multiply-add.  Row operations do not
+reduce: a row is reduced mod p when it becomes the pivot row and once
+more when the rows are unpacked.  Slots are wide enough for the largest
+value that can build up in between, (p - 1) + k (p - 1)^2 after k row
+operations, k = min(rows, pivot columns).  GF(2) is the same code with
+1-byte slots, 2-byte ones from k = 255 on.
+
 The canonical presentation of a subspace of GF(p)^q is the reduced column
 echelon basis: pivot entries 1, pivot rows strictly increasing, every
 other entry in a pivot row zero, columns ordered by pivot row.  Two
@@ -11,11 +22,18 @@ submodules over polynomial rings by a column Hermite basis; see
 ``Submodule`` for the dispatch.
 """
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
 from .matrix import Matrix
 from .rings import ModRing, PolyRing, PrimeField, is_local, split_ring
+
+#: ``array`` type codes by item size: slots of 1, 2, 4 and 8 bytes
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+#: ``array`` items are native-endian, slots big-endian
+_SWAP = sys.byteorder == "little"
 
 
 @dataclass(frozen=True)
@@ -31,59 +49,109 @@ def _require_field(ring):
         raise NotAFieldError(f"{ring!r} is not a prime field")
 
 
+def _slot_bytes(p, k):
+    """Bytes per column slot of a packed row over GF(p) that takes k row
+    operations: room for (p - 1) + k (p - 1)^2."""
+    return ((p - 1) * (1 + k * (p - 1))).bit_length() + 7 >> 3
+
+
+def _restride(buf, size, new):
+    """The big-endian ``size``-byte slots of ``buf`` as ``new``-byte
+    slots; every value must fit in ``new`` bytes."""
+    if new == size:
+        return buf
+    out = bytearray(len(buf) // size * new)
+    n = min(size, new)
+    for j in range(n):
+        out[new - n + j::new] = buf[size - n + j::size]
+    return out
+
+
+def _pack(values, p, size):
+    """One int holding ``values``, ints in [0, p), in big-endian slots of
+    ``size`` bytes, the first value most significant."""
+    if size == 1:
+        return int.from_bytes(bytes(values), "big")
+    # array items of the slot width, else of the narrowest width holding p - 1
+    item = size if size in _TYPECODES else 2 if p <= 1 << 16 else 4 if p <= 1 << 32 else 8
+    words = array(_TYPECODES[item], values)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(_restride(words.tobytes(), item, size), "big")
+
+
+def _from_slots(buf, size):
+    """The values held in the big-endian ``size``-byte slots of ``buf``."""
+    if size == 1:
+        return buf
+    item = 2 if size == 2 else 4 if size <= 4 else -(-size // 8) * 8
+    words = array(_TYPECODES[min(item, 8)], _restride(buf, size, item))
+    if _SWAP:
+        words.byteswap()
+    if item <= 8:
+        return words
+    n = item // 8  # words per slot, most significant first
+    values = words[::n]
+    for j in range(1, n):
+        values = [v << 64 | w for v, w in zip(values, words[j::n])]
+    return values
+
+
 def _eliminate(rows, p, ncols):
     """Gauss-Jordan elimination over GF(p) of ``rows``, equal-length
-    lists of ints in [0, p), which it consumes.
+    sequences of ints in [0, p), which it leaves unchanged.
 
     Pivots are sought in the first ``ncols`` columns only; the columns
     after them (a transform, right-hand sides) go through the same row
-    operations.  Returns the reduced rows and the pivot columns.  Every
-    field elimination runs here: over GF(p) with inline ``% p``, and over
-    GF(2) with each row packed into one int (column 0 its top bit),
-    eliminated by XOR as in M4RI (Albrecht & Bard).
+    operations.  Returns the reduced rows, as new lists, and the pivot
+    columns.  Every field elimination runs here, GF(2) included.
+
+    Each row is packed into one int, column 0 in its most significant
+    slot, so that a row operation is one big-int multiply-add (delayed
+    modular reduction as in FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008;
+    packed rows as in M4RI, Albrecht & Bard).  A row that is not the
+    pivot row takes ``row += (p - f) * top`` unreduced, where f is its
+    entry at the pivot column mod p, which clears that entry mod p.  A
+    row is reduced mod p, and scaled to 1 at its pivot, only when it
+    becomes the pivot row, and every row once more when the matrix is
+    unpacked.  The pivot row is reduced, so a slot gains at most
+    (p - 1)^2 per row operation, and at most k = min(nrows, ncols) row
+    operations reach a row: a slot of ``_slot_bytes(p, k)`` bytes never
+    overflows into its neighbour.  Entries are read mod p throughout.
     """
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
+    if not width:
+        return [list(row) for row in rows], []
+    size = _slot_bytes(p, min(nrows, ncols))
+    bits, span = 8 * size, width * size
+    mask = (1 << bits) - 1
+    packed = [_pack(row, p, size) for row in rows]
     pivots = []
-    if p == 2 and width:  # a row of width 0 has no bits to pack
-        packed = [int("".join(map(str, row)), 2) for row in rows]
-        for c in range(ncols):
-            if len(pivots) == nrows:
-                break
-            r = len(pivots)
-            bit = 1 << (width - 1 - c)
-            pivot = next((i for i in range(r, nrows) if packed[i] & bit), None)
-            if pivot is None:
-                continue
-            packed[r], packed[pivot] = packed[pivot], packed[r]
-            top = packed[r]
-            for i in range(nrows):
-                if i != r and packed[i] & bit:
-                    packed[i] ^= top
-            pivots.append(c)
-        form = f"0{width}b"
-        return [list(map(int, format(v, form))) for v in packed], pivots
     for c in range(ncols):
-        if len(pivots) == nrows:
-            break
         r = len(pivots)
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
+        shift = (width - 1 - c) * bits  # of column c's slot
+        for i in range(r, nrows):
+            f = (packed[i] >> shift & mask) % p
+            if f:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        # the pivot row is zero left of c, so row operations start at c
-        top = rows[r]
-        if top[c] != 1:
-            inv = pow(top[c], -1, p)
-            top[c:] = [inv * x % p for x in top[c:]]
-        tail = top[c:]
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if f and i != r:
-                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], tail)]
+        top = packed[i]
+        packed[i] = packed[r]
+        # the pivot row is 0 mod p left of c: reduce and scale its tail
+        inv = pow(f, -1, p)
+        tail = _from_slots(top.to_bytes(span, "big")[c * size:], size)
+        top = _pack([inv * x % p for x in tail], p, size)
+        packed[r] = 0  # the pivot row takes no row operation of its own
+        packed = [row + (p - f) * top if (f := (row >> shift & mask) % p) else row
+                  for row in packed]
+        packed[r] = top
         pivots.append(c)
-    return rows, pivots
+        if r + 1 == nrows:
+            break
+    return [[x % p for x in _from_slots(row.to_bytes(span, "big"), size)]
+            for row in packed], pivots
 
 
 def rref(a: Matrix) -> RrefResult:
@@ -95,7 +163,7 @@ def rref(a: Matrix) -> RrefResult:
     _require_field(a.ring)
     ring, n, m = a.ring, a.ncols, a.nrows
     rows, pivots = _eliminate(
-        [list(r) + [0] * i + [1] + [0] * (m - 1 - i) for i, r in enumerate(a.entries)],
+        [r + (0,) * i + (1,) + (0,) * (m - 1 - i) for i, r in enumerate(a.entries)],
         ring.p, n)
     return RrefResult(
         matrix=Matrix._canonical(ring, m, n, [r[:n] for r in rows]),
@@ -112,7 +180,7 @@ def _echelon_columns(ring, ambient, vectors):
     """
     if not vectors:
         return [], ()
-    rows, pivots = _eliminate([list(v) for v in vectors], ring.p, ambient)
+    rows, pivots = _eliminate(vectors, ring.p, ambient)
     return rows[:len(pivots)], tuple(pivots)
 
 
@@ -127,7 +195,7 @@ def nullspace(a: Matrix) -> "Submodule":
     """
     _require_field(a.ring)
     ring, n, p = a.ring, a.ncols, a.ring.p
-    rows, pivots = _eliminate([list(reversed(r)) for r in a.entries], p, n)
+    rows, pivots = _eliminate([r[::-1] for r in a.entries], p, n)
     free = sorted(set(range(n)).difference(pivots), reverse=True)
     cols = []
     for f in free:
@@ -149,7 +217,7 @@ def _solve_columns(a: Matrix, rhs) -> list:
     Free variables are pinned to zero, so witnesses are reproducible.
     """
     n, k = a.ncols, len(rhs)
-    rows, pivots = _eliminate([list(r) + [c[i] for c in rhs]
+    rows, pivots = _eliminate([r + tuple(c[i] for c in rhs)
                                for i, r in enumerate(a.entries)], a.ring.p, n)
     rank = len(pivots)
     out = []

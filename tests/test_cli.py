@@ -145,6 +145,25 @@ def test_parse_errors_carry_line_numbers(text, line):
         assert exc.value.line == line
 
 
+def test_negative_dimensions_name_the_line(tmp_path, capsys):
+    text = "ring gf 5\nmatrix A -1 2\n"
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_file(text)
+    assert exc.value.line == 2
+    path = tmp_path / "neg.txt"
+    path.write_text(text)
+    code, _ = run_cli(["kernel", str(path), "A"])
+    assert code == 2
+    assert "(line 2)" in capsys.readouterr().err
+
+
+def test_parsed_matrices_are_canonical():
+    ring, mats = parse_matrix_file("ring zmod 30\nmatrix A 1 3\n-1 31 60\n")
+    assert mats["A"] == Matrix(ring, 1, 3, [[29, 1, 0]])
+    _, mats = parse_matrix_file("ring polygf 5\nmatrix A 1 2\n[1,5,0] 7\n")
+    assert mats["A"].entries == (((1,), (2,)),)
+
+
 def test_split_vector_text():
     assert split_vector_text("1,2,3") == ["1", "2", "3"]
     assert split_vector_text("[0,1],[1]") == ["[0,1]", "[1]"]
@@ -204,6 +223,25 @@ def test_usage_error():
     assert code == 2
     code, _ = run_cli(["no-such-command"])
     assert code == 2
+
+
+def test_main_reuses_one_parser(gf_file, zmod_file, capsys):
+    """Several requests in one process answer as fresh processes would:
+    same documents, usage errors, help text and exit codes."""
+    first = [run_cli(["kernel-pair", gf_file, "A", "B", "--json"]),
+             run_cli(["member", zmod_file, "A", "B", "3", "--json"])]
+    assert [code for code, _ in first] == [0, 0]
+    assert run_cli(["idempotents", "30", "--json"])[0] == 0
+    assert run_cli(["kernel", gf_file]) == (2, "")
+    usage = capsys.readouterr().err
+    assert usage.startswith("usage: kerpair kernel") and "required" in usage
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["kernel", gf_file])
+    assert capsys.readouterr().err == usage
+    assert run_cli(["--help"])[0] == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert [run_cli(["kernel-pair", gf_file, "A", "B", "--json"]),
+            run_cli(["member", zmod_file, "A", "B", "3", "--json"])] == first
 
 
 # -- kernel-pair command ------------------------------------------------------
