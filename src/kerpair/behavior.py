@@ -18,7 +18,7 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
-from .matrix import Matrix
+from .matrix import Matrix, hstack
 from .rings import ModRing, PolyRing, PrimeField
 
 
@@ -58,16 +58,17 @@ class Trajectory:
         return len(self.inputs)
 
     def check(self, sys: SystemPair) -> list:
-        """Re-verify the recursion at every step; returns violations."""
-        ring = sys.ring
-        out = []
-        for t, u in enumerate(self.inputs):
-            expect = tuple(ring.add(p, q)
-                           for p, q in zip(sys.a.matvec(self.states[t]),
-                                           sys.b.matvec(u)))
-            if expect != self.states[t + 1]:
-                out.append(f"recursion fails at step {t}")
-        return out
+        """Re-verify the recursion at every step; returns violations.
+
+        One product [A | B] [x(0) ... x(T-1); u(0) ... u(T-1)], compared
+        column by column with x(1) ... x(T): row-packed products where
+        ``simulate`` steps with column-packed matvecs.
+        """
+        steps = Matrix(sys.ring, self.horizon, sys.n + sys.m,
+                       [x + u for x, u in zip(self.states, self.inputs)])
+        expect = (hstack(sys.a, sys.b) @ steps.transpose()).columns()
+        return [f"recursion fails at step {t}"
+                for t, (x, y) in enumerate(zip(expect, self.states[1:])) if x != y]
 
 
 @dataclass(frozen=True)
@@ -87,20 +88,27 @@ def _normalize_inputs(sys: SystemPair, inputs) -> tuple:
     return tuple(out)
 
 
+def _normalize_state(sys: SystemPair, x) -> tuple:
+    if len(x) != sys.n:
+        raise DimensionMismatchError(f"state length {len(x)} != {sys.n}")
+    return tuple(sys.ring.normalize(e) for e in x)
+
+
+def _run(ab: Matrix, x, inputs) -> Trajectory:
+    """The forward recursion from x under ``inputs``, both already
+    normalized: one matvec of ab = [A | B] per step."""
+    states = [x]
+    for u in inputs:
+        x = ab.matvec(x + u)
+        states.append(x)
+    return Trajectory(states=tuple(states), inputs=inputs)
+
+
 def simulate(sys: SystemPair, x0, inputs) -> Trajectory:
     """Forward recursion from x0; the trajectory invariant holds by
     construction."""
-    ring = sys.ring
-    if len(x0) != sys.n:
-        raise DimensionMismatchError(f"state length {len(x0)} != {sys.n}")
-    inputs = _normalize_inputs(sys, inputs)
-    x = tuple(ring.normalize(e) for e in x0)
-    states = [x]
-    for u in inputs:
-        x = tuple(ring.add(p, q)
-                  for p, q in zip(sys.a.matvec(x), sys.b.matvec(u)))
-        states.append(x)
-    return Trajectory(states=tuple(states), inputs=inputs)
+    x = _normalize_state(sys, x0)
+    return _run(hstack(sys.a, sys.b), x, _normalize_inputs(sys, inputs))
 
 
 def _matrix_power(a: Matrix, k: int) -> Matrix:
@@ -144,22 +152,23 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     """
     inputs = _normalize_inputs(sys, query.inputs)
     ring = sys.ring
+    ab = hstack(sys.a, sys.b)
     zero_state = (ring.zero,) * sys.n
     if query.boundary == "free":
-        return simulate(sys, zero_state, inputs)
+        return _run(ab, zero_state, inputs)
     if query.boundary == "fixed":
         if query.x0 is None:
             raise DimensionMismatchError("fixed boundary requires x0")
-        return simulate(sys, query.x0, inputs)
+        return _run(ab, _normalize_state(sys, query.x0), inputs)
     if query.boundary != "periodic":
         raise ValueError(f"unknown boundary mode {query.boundary!r}")
     t = len(inputs)
-    forced = simulate(sys, zero_state, inputs).states[-1]
+    forced = _run(ab, zero_state, inputs).states[-1]
     m = _matrix_power(sys.a, t) - Matrix.identity(ring, sys.n)
     x0 = _solve_ring(m, tuple(ring.neg(e) for e in forced))
     if x0 is None:
         return None
-    traj = simulate(sys, x0, inputs)
+    traj = _run(ab, _normalize_state(sys, x0), inputs)
     if traj.states[-1] != traj.states[0]:
         raise ConsistencyViolatedError("the periodic solve did not close the loop")
     return traj

@@ -24,6 +24,7 @@ import functools
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import crt, polykernel
@@ -228,9 +229,31 @@ def _print_submodule(label: str, sub: Submodule, out):
             print("  [" + ", ".join(sub.ring.format(e) for e in g) + "]", file=out)
 
 
+def _dumps(doc, indent="\n") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte.  Any indent sends
+    ``json`` to its pure-Python encoder; here strings go through the C
+    quoting function, a list of strings in one join."""
+    inner = indent + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(v, inner)
+            for k, v in doc.items()) + indent + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        items = map(_quote, doc) if set(map(type, doc)) == {str} else \
+            (_dumps(e, inner) for e in doc)
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(doc, str):
+        return _quote(doc)
+    return json.dumps(doc)
+
+
 def _emit(doc: dict, args, out) -> int:
     if args.json:
-        print(json.dumps(doc, indent=2), file=out)
+        print(_dumps(doc), file=out)
     return doc["exit_code"]
 
 

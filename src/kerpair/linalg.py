@@ -2,9 +2,10 @@
 
 Every elimination over GF(p) -- ``rref``, ``nullspace``, ``solve``,
 ``solve_pair`` and ``Submodule.from_columns`` -- is one Gauss-Jordan
-run of ``_eliminate`` on packed rows.  A row is one Python int with a
-byte-aligned slot per column, column 0 in the most significant slot, so
-a row operation is one big-int multiply-add.  Row operations do not
+run of ``_eliminate`` on packed rows, the packing that ``matrix`` defines
+and uses for products too.  A row is one Python int with a byte-aligned
+slot per column, column 0 in the most significant slot, so a row
+operation is one big-int multiply-add.  Row operations do not
 reduce: a row is reduced mod p when it becomes the pivot row and once
 more when the rows are unpacked.  Slots are wide enough for the largest
 value that can build up in between, (p - 1) + k (p - 1)^2 after k row
@@ -22,18 +23,11 @@ submodules over polynomial rings by a column Hermite basis; see
 ``Submodule`` for the dispatch.
 """
 
-import sys
-from array import array
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
-from .matrix import Matrix
+from .matrix import Matrix, _from_slots, _pack, _slot_bytes
 from .rings import ModRing, PolyRing, PrimeField, is_local, split_ring
-
-#: ``array`` type codes by item size: slots of 1, 2, 4 and 8 bytes
-_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
-#: ``array`` items are native-endian, slots big-endian
-_SWAP = sys.byteorder == "little"
 
 
 @dataclass(frozen=True)
@@ -47,54 +41,6 @@ class RrefResult:
 def _require_field(ring):
     if not isinstance(ring, PrimeField):
         raise NotAFieldError(f"{ring!r} is not a prime field")
-
-
-def _slot_bytes(p, k):
-    """Bytes per column slot of a packed row over GF(p) that takes k row
-    operations: room for (p - 1) + k (p - 1)^2."""
-    return ((p - 1) * (1 + k * (p - 1))).bit_length() + 7 >> 3
-
-
-def _restride(buf, size, new):
-    """The big-endian ``size``-byte slots of ``buf`` as ``new``-byte
-    slots; every value must fit in ``new`` bytes."""
-    if new == size:
-        return buf
-    out = bytearray(len(buf) // size * new)
-    n = min(size, new)
-    for j in range(n):
-        out[new - n + j::new] = buf[size - n + j::size]
-    return out
-
-
-def _pack(values, p, size):
-    """One int holding ``values``, ints in [0, p), in big-endian slots of
-    ``size`` bytes, the first value most significant."""
-    if size == 1:
-        return int.from_bytes(bytes(values), "big")
-    # array items of the slot width, else of the narrowest width holding p - 1
-    item = size if size in _TYPECODES else 2 if p <= 1 << 16 else 4 if p <= 1 << 32 else 8
-    words = array(_TYPECODES[item], values)
-    if _SWAP:
-        words.byteswap()
-    return int.from_bytes(_restride(words.tobytes(), item, size), "big")
-
-
-def _from_slots(buf, size):
-    """The values held in the big-endian ``size``-byte slots of ``buf``."""
-    if size == 1:
-        return buf
-    item = 2 if size == 2 else 4 if size <= 4 else -(-size // 8) * 8
-    words = array(_TYPECODES[min(item, 8)], _restride(buf, size, item))
-    if _SWAP:
-        words.byteswap()
-    if item <= 8:
-        return words
-    n = item // 8  # words per slot, most significant first
-    values = words[::n]
-    for j in range(1, n):
-        values = [v << 64 | w for v, w in zip(values, words[j::n])]
-    return values
 
 
 def _eliminate(rows, p, ncols):
@@ -247,11 +193,14 @@ def solve(a: Matrix, b) -> tuple | None:
 def solve_pair(a: Matrix, b: Matrix, us) -> list:
     """For each u in ``us``, the x that ``solve(a, -B u)`` returns, or
     None; every system is answered by one elimination of
-    [A | -B u_1 ... -B u_k]."""
+    [A | -B u_1 ... -B u_k], formed with one product B [u_1 ... u_k]."""
     _require_field(a.ring)
+    for u in us:
+        if len(u) != b.ncols:
+            raise DimensionMismatchError(f"vector length {len(u)} != {b.ncols} columns")
     p = a.ring.p
-    rhs = [tuple(-x % p for x in b.matvec(u)) for u in us]
-    return _solve_columns(a, rhs)
+    bu = b @ Matrix.from_columns(a.ring, us, nrows=b.ncols)
+    return _solve_columns(a, [tuple(-x % p for x in col) for col in bu.columns()])
 
 
 def image(a: Matrix) -> "Submodule":

@@ -4,31 +4,104 @@ A matrix over a ring R with q columns and p rows represents the R-linear
 map R^q -> R^p whose columns are the images of the standard basis
 vectors.  Entries are canonical ring elements; all operations are pure.
 
-Products over GF(p) and Z/m (``PrimeField``, ``ModRing``) run on the
-integers with one reduction mod q per entry; over polynomial rings they
-go through the ring's methods.
+Over GF(p) and Z/m (``PrimeField``, ``ModRing``) products run on packed
+rows, the packing that ``linalg._eliminate`` uses too: a vector of ints
+in [0, q) is one Python int with a byte-aligned big-endian slot per
+entry, the first entry most significant.  ``A @ X`` packs each row of X
+once, and row i of the product is one sum of big-int multiples of them;
+``A.matvec(v)`` sums multiples of A's packed columns, which a matrix
+packs on its first Z/q matvec and keeps.  Nothing is reduced until the
+sum is unpacked, once per output slot (delayed modular reduction, as in
+FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008).  Over polynomial rings
+products go through the ring's methods.
 """
 
 import functools
+import sys
+from array import array
 from operator import mul
 
 from .errors import DimensionMismatchError, RingMismatchError
 from .rings import ModRing, PrimeField
 
+#: ``array`` type codes by item size: slots of 1, 2, 4 and 8 bytes
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+#: ``array`` items are native-endian, slots big-endian
+_SWAP = sys.byteorder == "little"
+
 
 def _modulus(ring):
-    """q for Z/q (GF(p) or Z/m), whose products run inline; else None."""
+    """q for Z/q (GF(p) or Z/m), whose products run on packed rows; else None."""
     return ring.size if isinstance(ring, (PrimeField, ModRing)) else None
 
 
+def _slot_bytes(p, k):
+    """Bytes per slot of a packed vector over Z/p that takes k multiply-adds
+    of reduced operands: room for (p - 1) + k (p - 1)^2."""
+    return ((p - 1) * (1 + k * (p - 1))).bit_length() + 7 >> 3
+
+
+def _restride(buf, size, new):
+    """The big-endian ``size``-byte slots of ``buf`` as ``new``-byte
+    slots; every value must fit in ``new`` bytes."""
+    if new == size:
+        return buf
+    out = bytearray(len(buf) // size * new)
+    n = min(size, new)
+    for j in range(n):
+        out[new - n + j::new] = buf[size - n + j::size]
+    return out
+
+
+def _pack(values, p, size):
+    """One int holding ``values``, ints in [0, p), in big-endian slots of
+    ``size`` bytes, the first value most significant."""
+    if size == 1:
+        return int.from_bytes(bytes(values), "big")
+    # array items of the slot width, else of the narrowest width holding p - 1
+    item = size if size in _TYPECODES else 2 if p <= 1 << 16 else 4 if p <= 1 << 32 else 8
+    words = array(_TYPECODES[item], values)
+    if _SWAP:
+        words.byteswap()
+    return int.from_bytes(_restride(words.tobytes(), item, size), "big")
+
+
+def _from_slots(buf, size):
+    """The values held in the big-endian ``size``-byte slots of ``buf``."""
+    if size == 1:
+        return buf
+    item = 2 if size == 2 else 4 if size <= 4 else -(-size // 8) * 8
+    words = array(_TYPECODES[min(item, 8)], _restride(buf, size, item))
+    if _SWAP:
+        words.byteswap()
+    if item <= 8:
+        return words
+    n = item // 8  # words per slot, most significant first
+    values = words[::n]
+    for j in range(1, n):
+        values = [v << 64 | w for v, w in zip(values, words[j::n])]
+    return values
+
+
+def _unpack(acc, q, count, size):
+    """The ``count`` slots of the packed sum ``acc``, reduced mod q."""
+    return tuple(map(q.__rmod__, _from_slots(acc.to_bytes(count * size, "big"), size)))
+
+
 class Matrix:
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    # _packed_columns: (q, slot bytes, packed columns) over Z/q, filled by the
+    # first matvec; a cache, not part of the value (__eq__ and __hash__ ignore it)
+    __slots__ = ("ring", "nrows", "ncols", "entries", "_packed_columns")
 
     def __init__(self, ring, nrows: int, ncols: int, entries):
         """``entries`` is a row-major nested sequence; values are normalized."""
         if nrows < 0 or ncols < 0:
             raise DimensionMismatchError("negative matrix dimensions")
-        rows = tuple(tuple(ring.normalize(e) for e in row) for row in entries)
+        q = _modulus(ring)
+        if q is not None:  # ring.normalize, inline: int(e) % q
+            rows = tuple(tuple(map(q.__rmod__, map(int, row))) for row in entries)
+        else:
+            rows = tuple(tuple(ring.normalize(e) for e in row) for row in entries)
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise DimensionMismatchError(
                 f"expected {nrows}x{ncols} entries, got {[len(r) for r in rows]}"
@@ -37,6 +110,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = rows
+        self._packed_columns = None
 
     @classmethod
     def _canonical(cls, ring, nrows, ncols, rows):
@@ -48,6 +122,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = tuple(map(tuple, rows))
+        self._packed_columns = None
         return self
 
     @classmethod
@@ -83,11 +158,12 @@ class Matrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.ncols)]
+        # zip(*()) has no columns at all; a matrix without rows still has
+        # ncols (empty) ones
+        return list(zip(*self.entries)) if self.nrows else [()] * self.ncols
 
     def transpose(self) -> "Matrix":
-        return Matrix._canonical(self.ring, self.ncols, self.nrows,
-                                 [self.column(i) for i in range(self.ncols)])
+        return Matrix._canonical(self.ring, self.ncols, self.nrows, self.columns())
 
     def map_entries(self, func, ring=None) -> "Matrix":
         """Apply ``func`` entrywise, optionally landing in a different ring."""
@@ -127,30 +203,35 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        ring = self.ring
-        # zip(*()) has no columns at all; an inner dimension of 0 still has
-        # other.ncols (empty) columns
-        cols = list(zip(*other.entries)) if other.nrows else [()] * other.ncols
+        ring, c = self.ring, other.ncols
         q = _modulus(ring)
         if q is not None:
-            rows = [[sum(map(mul, row, col)) % q for col in cols] for row in self.entries]
+            size = _slot_bytes(q, self.ncols)
+            packed = [_pack(row, q, size) for row in other.entries]
+            rows = [_unpack(sum(map(mul, row, packed)), q, c, size) for row in self.entries]
         else:
             add, ring_mul, zero = ring.add, ring.mul, ring.zero
+            cols = other.columns()
             rows = [[functools.reduce(add, map(ring_mul, row, col), zero) for col in cols]
                     for row in self.entries]
-        return Matrix._canonical(ring, self.nrows, other.ncols, rows)
+        return Matrix._canonical(ring, self.nrows, c, rows)
 
     def matvec(self, v) -> tuple:
-        """Apply the matrix to a length-``ncols`` vector."""
+        """Apply the matrix to a length-``ncols`` vector; over Z/q its
+        entries are read mod q."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"vector length {len(v)} != {self.ncols} columns")
-        ring = self.ring
-        q = _modulus(ring)
-        if q is not None:
-            return tuple(sum(map(mul, row, v)) % q for row in self.entries)
-        add, ring_mul, zero = ring.add, ring.mul, ring.zero
-        return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
-                     for row in self.entries)
+        if self._packed_columns is None:
+            ring = self.ring
+            q = _modulus(ring)
+            if q is None:
+                add, ring_mul, zero = ring.add, ring.mul, ring.zero
+                return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
+                             for row in self.entries)
+            size = _slot_bytes(q, self.ncols)
+            self._packed_columns = q, size, [_pack(col, q, size) for col in self.columns()]
+        q, size, columns = self._packed_columns
+        return _unpack(sum(map(mul, map(q.__rmod__, v), columns)), q, self.nrows, size)
 
     def is_zero(self) -> bool:
         z = self.ring.zero

@@ -246,6 +246,25 @@ def test_periodic_horizon_500_is_fast():
     assert min(times) < 0.3
 
 
+def test_free_horizon_1000_simulate_and_check_are_fast():
+    # two matvecs and an entrywise sum per step, in simulate and again in
+    # the check, took 80-120 ms; one [A | B] matvec per step and one product
+    # for the check take about 20 ms.  The best of three tries keeps a busy
+    # host from failing the bound
+    ring = PrimeField(7)
+    rng = random.Random(83)
+    sys = SystemPair(random_matrix(ring, 24, 24, rng), random_matrix(ring, 24, 2, rng))
+    us = [(rng.randrange(7), rng.randrange(7)) for _ in range(1000)]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        traj = simulate(sys, (0,) * 24, us)
+        violations = traj.check(sys)
+        times.append(time.perf_counter() - start)
+        assert violations == [] and traj.horizon == 1000
+    assert min(times) < 0.045
+
+
 def test_pencil_form():
     sys = SystemPair(Matrix(GF3, 2, 2, [[1, 2], [0, 1]]),
                      Matrix(GF3, 2, 1, [[1], [2]]))

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerpair import (
     Matrix,
@@ -14,6 +16,7 @@ from kerpair import (
     nullspace,
 )
 from kerpair.cli import (
+    _dumps,
     build_parser,
     cmd_member,
     format_matrix_file,
@@ -509,3 +512,24 @@ def test_json_round_trip_stability(zmod_file):
     code2, doc2 = run_json(["kernel-pair", zmod_file, "A", "B"])
     assert doc2["ker_bar"] == doc["ker_bar"]
     assert rebuilt.size() == doc["ker_bar"]["size"]
+
+
+# -- the --json writer against json.dumps ------------------------------------
+
+#: non-ASCII (including outside the BMP), quotes, backslashes and control
+#: characters, which json escapes
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+    st.characters()), max_size=8)
+JSON_SCALARS = st.one_of(JSON_TEXT, st.integers(), st.integers(-2**70, 2**70),
+                         st.floats(), st.booleans(), st.none())
+#: json writes int, bool and None keys as strings
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(JSON_TEXT, max_size=4),
+    st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=20))
+def test_json_writer_matches_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2)

@@ -18,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kerpair.linalg as linalg
-from kerpair import Matrix, PrimeField, Submodule, nullspace, rref, solve
+from kerpair import (
+    DimensionMismatchError,
+    Matrix,
+    PrimeField,
+    Submodule,
+    nullspace,
+    rref,
+    solve,
+)
 from kerpair.crt import kernel_pair
 from kerpair.linalg import solve_pair
 
@@ -232,6 +240,14 @@ def test_zero_rows(p, ncols):
     assert solve(a, ()) == (0,) * ncols
     b = Matrix(PrimeField(p), 0, 2, [])
     assert solve_pair(a, b, [(1, 0), (0, 1)]) == [(0,) * ncols] * 2
+
+
+@pytest.mark.parametrize("u", [(1,), (1, 0, 0)])
+def test_solve_pair_rejects_a_wrong_length_input(u):
+    ring = PrimeField(5)
+    a, b = Matrix.identity(ring, 2), Matrix.identity(ring, 2)
+    with pytest.raises(DimensionMismatchError):
+        solve_pair(a, b, [(1, 0), u])
 
 
 @pytest.mark.parametrize("p", PRIMES)

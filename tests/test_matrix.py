@@ -15,6 +15,7 @@ from kerpair import (
     random_matrix,
     vstack,
 )
+from kerpair.matrix import _slot_bytes
 
 GF5 = PrimeField(5)
 
@@ -117,9 +118,10 @@ def test_hashable():
 
 # -- products against the ring-method reference -----------------------------
 
-# Over GF(p) and Z/m ``__matmul__`` and ``matvec`` sum integer products and
-# reduce once mod q; the reference is the ring-method loop they replaced,
-# kept here unchanged: results must be equal exactly.
+# Over GF(p) and Z/m ``__matmul__`` and ``matvec`` sum big-int multiples of
+# packed rows or columns and reduce once per output slot; the reference is
+# the ring-method loop they replaced, kept here unchanged: results must be
+# equal exactly.
 
 def ref_matmul(a, b):
     ring = a.ring
@@ -185,3 +187,63 @@ def test_products_with_an_empty_dimension(ring, r, k, c):
     a, b = Matrix.zeros(ring, r, k), Matrix.zeros(ring, k, c)
     assert a @ b == Matrix.zeros(ring, r, c) == ref_matmul(a, b)
     assert a.matvec((ring.one,) * k) == (ring.zero,) * r
+
+
+# -- packed products at slot-width boundaries --------------------------------
+
+# A product with inner dimension k packs into _slot_bytes(q, k)-byte slots:
+# room for the sum of k products of entries below q before one reduction.
+
+
+def _width_boundaries(q, limit=300):
+    """Inner dimensions k <= limit at which the slot of Z/q widens."""
+    return [k for k in range(1, limit) if _slot_bytes(q, k) > _slot_bytes(q, k - 1)]
+
+
+@pytest.mark.parametrize("ring", [PrimeField(2), PrimeField(7), PrimeField(101),
+                                  PrimeField(2**16 + 1), ModRing(30),
+                                  PrimeField(2**31 - 1), ModRing(2**40)], ids=repr)
+def test_products_across_slot_widths(ring):
+    rng = random.Random(71)
+    q = ring.size
+    boundaries = _width_boundaries(q)
+    assert boundaries
+    for k in sorted({j for b in boundaries[:3] for j in (b - 1, b, b + 1)}):
+        # all entries q - 1: every slot reaches the largest sum its width allows
+        top = (Matrix(ring, 2, k, [[q - 1] * k] * 2), Matrix(ring, k, 3, [[q - 1] * 3] * k))
+        for a, b in (top, (random_matrix(ring, 3, k, rng), random_matrix(ring, k, 2, rng))):
+            assert a @ b == ref_matmul(a, b), k
+            v = b.column(0)
+            assert a.matvec(v) == ref_matvec(a, v), k
+
+
+@pytest.mark.parametrize("ring", [ModRing(2**62), PrimeField(2**61 - 1)], ids=repr)
+@pytest.mark.parametrize("k", [1, 2, 9, 17, 40])
+def test_products_with_slots_wider_than_8_bytes(ring, k):
+    rng = random.Random(73 + k)
+    q = ring.size
+    assert _slot_bytes(q, k) > 8
+    a, b = random_matrix(ring, 4, k, rng), random_matrix(ring, k, 3, rng)
+    top = Matrix(ring, 1, k, [[q - 1] * k])
+    for x, y in ((a, b), (top, Matrix(ring, k, 2, [[q - 1] * 2] * k))):
+        assert x @ y == ref_matmul(x, y)
+        v = tuple(rng.randrange(q) for _ in range(k))
+        assert x.matvec(v) == ref_matvec(x, v)
+
+
+@pytest.mark.parametrize("ring", [PrimeField(2), PrimeField(101), ModRing(30),
+                                  ModRing(2**62)], ids=repr)
+def test_matvec_reuses_its_packed_columns(ring):
+    """The second matvec on one matrix runs on the columns the first one
+    packed; its vector has entries below 0 and at or above q."""
+    rng = random.Random(79)
+    q = ring.size
+    a = random_matrix(ring, 6, 5, rng)
+    fresh = Matrix(ring, 6, 5, a.entries)
+    first = tuple(rng.randrange(q) for _ in range(5))
+    second = (-1, q, -q - 2, 3 * q + 1, q - 1)
+    assert a.matvec(first) == ref_matvec(a, first)
+    assert a.matvec(second) == ref_matvec(a, second)
+    assert a.matvec(second) == fresh.matvec(tuple(x % q for x in second))
+    # the packed columns are no part of the value
+    assert a == fresh and hash(a) == hash(fresh)
