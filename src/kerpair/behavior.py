@@ -200,14 +200,14 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
     Hermite generators covers every bounded-degree member; one Hermite
     reduction of zI - A answers all of them.
     """
-    from .polykernel import _solve_columns, kernel_pair_poly, poly_kernel
+    from .polykernel import _solve_columns, kernel_pair_poly
 
     p_matrix, b_poly = pencil(sys)
     ring = p_matrix.ring
     out = []
-    if poly_kernel(p_matrix).rank != 0:
-        out.append("pencil zI - A has a nonzero kernel")
     result, _ = kernel_pair_poly(p_matrix, b_poly)
+    if result.ker_f1.rank != 0:
+        out.append("pencil zI - A has a nonzero kernel")
     if result.ker_pair.rank != result.ker_bar.rank:
         out.append(
             f"rank ker(zI-A, B) = {result.ker_pair.rank} != "

@@ -30,23 +30,17 @@ from pathlib import Path
 from . import crt, polykernel
 from .behavior import AdmissibleInputQuery, SystemPair, admissible, simulate
 from .crt import kernel as matrix_kernel
-from .errors import (
-    ConsistencyViolatedError,
-    KerpairError,
-    MatrixParseError,
-    MethodUnavailableError,
-)
+from .errors import ConsistencyViolatedError, KerpairError, MatrixParseError
 from .kernel import (
     Automorphism,
     check_identities,
     check_witness,
     kernel_pair_field,
     kernel_pair_oracle,
-    kernel_pair_projection,
 )
 from .linalg import Submodule, random_invertible
 from .matrix import Matrix, hstack
-from .rings import ModRing, PolyRing, PrimeField, make_ring, split_ring
+from .rings import is_local, make_ring, split_ring
 
 DEFAULT_SEED = 1729
 
@@ -121,17 +115,9 @@ def parse_matrix_file(text: str):
     return ring, matrices
 
 
-def ring_parameter(ring) -> int:
-    if isinstance(ring, PrimeField):
-        return ring.p
-    if isinstance(ring, ModRing):
-        return ring.m
-    return ring.n
-
-
 def format_matrix_file(ring, matrices) -> str:
     """Inverse of parse_matrix_file, entry for entry."""
-    out = [f"ring {ring.kind} {ring_parameter(ring)}"]
+    out = [f"ring {ring.kind} {ring.parameter}"]
     for name, m in matrices.items():
         out.append(f"matrix {name} {m.nrows} {m.ncols}")
         for row in m.entries:
@@ -232,21 +218,23 @@ def _print_submodule(label: str, sub: Submodule, out):
 def _dumps(doc, indent="\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.  Any indent sends
     ``json`` to its pure-Python encoder; here strings go through the C
-    quoting function, a list of strings in one join."""
+    quoting function, a list of strings in one join.  Values dispatch on
+    their exact type, the plain dicts, lists and scalars of a document."""
     inner = indent + "  "
-    if isinstance(doc, dict):
+    kind = type(doc)
+    if kind is dict:
         if not doc:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            _quote(k if isinstance(k, str) else json.dumps(k)) + ": " + _dumps(v, inner)
+            _quote(k if type(k) is str else json.dumps(k)) + ": " + _dumps(v, inner)
             for k, v in doc.items()) + indent + "}"
-    if isinstance(doc, (list, tuple)):
+    if kind is list or kind is tuple:
         if not doc:
             return "[]"
         items = map(_quote, doc) if set(map(type, doc)) == {str} else \
             (_dumps(e, inner) for e in doc)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(doc, str):
+    if kind is str:
         return _quote(doc)
     return json.dumps(doc)
 
@@ -303,7 +291,7 @@ def cmd_kernel_pair(args, out) -> int:
     if result.ker_f1 is not None:
         doc["ker_f1"] = _submodule_doc(result.ker_f1)
         doc["ker_pair"] = _submodule_doc(result.ker_pair)
-    if isinstance(result, crt.LocalGlobalResult):
+    if hasattr(result, "local_results"):
         doc["per_prime"] = [
             {"prime": p, "ker_bar": _submodule_doc(r.ker_bar)}
             for p, r in zip(result.primes, result.local_results)]
@@ -362,8 +350,6 @@ def cmd_member(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     u = parse_vector(ring, args.vector, b.ncols)
-    if isinstance(ring, PolyRing) and not ring.coeff_is_prime:
-        raise MethodUnavailableError(f"membership over {ring!r} is not supported")
     bu = b.matvec(u)
     x = crt.solver(a)(tuple(map(ring.neg, bu)))
     doc = {"command": "member", "ring": _ring_doc(ring),
@@ -431,107 +417,112 @@ def cmd_simulate(args, out) -> int:
 # -- verification ------------------------------------------------------------
 
 
-def _verify_field(a: Matrix, b: Matrix, rng, trials: int) -> list:
-    checks = []
-    results = {name: kernel_pair_field(a, b, method=name)
-               for name in ("projection", "preimage", "quotient")}
-    bars = {name: r.ker_bar for name, r in results.items()}
-    agree = []
-    if not (bars["projection"] == bars["preimage"] == bars["quotient"]):
-        agree.append("method presentations differ: "
-                     + ", ".join(f"{n} rank {s.basis.ncols}" for n, s in bars.items()))
-    checks.append(("method-agreement", agree))
+class _Instance:
+    """What the checks read: A, B, the kernel pair through the ``crt``
+    dispatch, and the local instances (label, A, B, local result) -- the
+    instance itself over GF(p) and GF(p)[z], its reduction at each prime
+    over Z/m and (Z/m)[z]."""
 
-    result, witness = kernel_pair_projection(a, b)
-    checks.append(("splitting-witness", check_witness(a, b, result, witness)))
-    return checks + _finite_checks(a, b, result, [("", a, b)], rng, trials)
-
-
-def _verify_zmod(a: Matrix, b: Matrix, rng, trials: int) -> list:
-    ring = a.ring
-    checks = [("idempotent-laws", crt.idempotents(ring.m).check_laws())]
-    result = crt.kernel_pair_crt(a, b)
-    checks.append(("base-change", [v for i in range(len(ring.primes))
-                                   for v in crt.base_change_violations(result, i)]))
-    split = split_ring(ring)
-    fields = [(f"mod {p}: ", split.reduce_matrix(a, i), split.reduce_matrix(b, i))
-              for i, p in enumerate(split.primes)]
-    return checks + _finite_checks(a, b, result, fields, rng, trials)
+    def __init__(self, a: Matrix, b: Matrix, rng, trials: int):
+        self.a, self.b, self.ring, self.rng, self.trials = a, b, a.ring, rng, trials
+        self.result, self.witness = crt.kernel_pair(a, b)
+        self.split, self.finite = not is_local(self.ring), self.ring.size is not None
+        if not self.split:
+            self.locals = [("", a, b, self.result)]
+        else:
+            split = split_ring(self.ring)
+            self.locals = [(f"mod {p}: ", split.reduce_matrix(a, i),
+                            split.reduce_matrix(b, i), self.result.local_results[i])
+                           for i, p in enumerate(split.primes)]
 
 
-def _finite_checks(a: Matrix, b: Matrix, result, fields, rng, trials: int) -> list:
-    """Cardinality, the oracle, and the automorphism identities over each
-    (label, A, B) of ``fields``, the instance itself or its reductions."""
-    card = []
-    lhs = result.ker_pair.size()
-    rhs = result.ker_f1.size() * result.ker_bar.size()
-    if lhs != rhs:
-        card.append(f"|ker_pair| = {lhs} but |ker_f1|*|ker_bar| = {rhs}")
-    checks = [("cardinality", card)]
-
-    if a.ring.size ** b.ncols <= 10 ** 5:
-        oracle = kernel_pair_oracle(a, b)
-        checks.append(("oracle", [] if oracle == result.ker_bar else
-                       [f"oracle dim {oracle.dim} != computed dim {result.ker_bar.dim}"]))
-
-    ident = []
-    for label, fa, fb in fields:
-        for _ in range(trials):
-            psi1 = Automorphism(random_invertible(fa.ring, fa.ncols, rng))
-            psi2 = Automorphism(random_invertible(fa.ring, fb.ncols, rng))
-            psi = Automorphism(random_invertible(fa.ring, fa.nrows, rng))
-            ident.extend(label + v for v in check_identities(fa, fb, psi1, psi2, psi))
-    checks.append(("automorphism-identities", ident))
-    return checks
+def _each_local(check):
+    """A row run on every local instance, its violations labelled."""
+    return lambda c: [label + v for label, fa, fb, r in c.locals
+                      for v in check(c, fa, fb, r)]
 
 
-def _verify_poly(a: Matrix, b: Matrix, rng, trials: int) -> list:
-    ring = a.ring
-    checks = []
-    result, witness = polykernel.kernel_pair_poly(a, b)
+def _method_agreement(c) -> list:
+    bars = {"projection": c.result.ker_bar}
+    bars.update((m, kernel_pair_field(c.a, c.b, m).ker_bar)
+                for m in ("preimage", "quotient"))
+    if bars["projection"] == bars["preimage"] == bars["quotient"]:
+        return []
+    return ["method presentations differ: "
+            + ", ".join(f"{n} rank {s.basis.ncols}" for n, s in bars.items())]
 
-    exact = []
+
+def _kernel_exactness(c, a, b, r) -> list:
     ab = hstack(a, b)
-    for col in result.ker_pair.basis.columns():
-        if any(e != ring.zero for e in ab.matvec(col)):
-            exact.append("joint kernel basis column fails A.K = 0")
-    checks.append(("kernel-exactness", exact))
+    return ["joint kernel basis column fails A.K = 0"
+            for col in r.ker_pair.basis.columns() if any(ab.matvec(col))]
 
-    rank = []
-    if result.ker_pair.rank != result.ker_f1.rank + result.ker_bar.rank:
-        rank.append(f"rank {result.ker_pair.rank} != "
-                    f"{result.ker_f1.rank} + {result.ker_bar.rank}")
-    checks.append(("rank-identity", rank))
 
-    checks.append(("splitting-witness", check_witness(a, b, result, witness)))
+def _rank_identity(c, a, b, r) -> list:
+    if r.ker_pair.rank == r.ker_f1.rank + r.ker_bar.rank:
+        return []
+    return [f"rank {r.ker_pair.rank} != {r.ker_f1.rank} + {r.ker_bar.rank}"]
 
-    sat = []
-    d = polykernel.matrix_degree(a)
-    bound = min(a.nrows, a.ncols) * d + 2
-    for v in polykernel.kernel_vectors_up_to(a, bound):
-        if result.ker_f1.contains(v) is None:
-            sat.append(f"degree-{bound} oracle vector escapes the basis")
-    checks.append(("saturation", sat))
-    return checks
+
+def _cardinality(c) -> list:
+    lhs = c.result.ker_pair.size()
+    rhs = c.result.ker_f1.size() * c.result.ker_bar.size()
+    return [] if lhs == rhs else [f"|ker_pair| = {lhs} but |ker_f1|*|ker_bar| = {rhs}"]
+
+
+def _oracle(c) -> list:
+    oracle, computed = kernel_pair_oracle(c.a, c.b), c.result.ker_bar
+    return [] if oracle == computed else [
+        f"oracle dim {oracle.dim} != computed dim {computed.dim}"]
+
+
+def _automorphism_identities(c, a, b, r) -> list:
+    out = []
+    for _ in range(c.trials):
+        psi1 = Automorphism(random_invertible(a.ring, a.ncols, c.rng))
+        psi2 = Automorphism(random_invertible(a.ring, b.ncols, c.rng))
+        psi = Automorphism(random_invertible(a.ring, a.nrows, c.rng))
+        out.extend(check_identities(a, b, psi1, psi2, psi))
+    return out
+
+
+def _saturation(c, a, b, r) -> list:
+    bound = min(a.nrows, a.ncols) * polykernel.matrix_degree(a) + 2
+    return [f"degree-{bound} oracle vector escapes the basis"
+            for v in polykernel.kernel_vectors_up_to(a, bound)
+            if r.ker_f1.contains(v) is None]
+
+
+# (name, runs when, violations), in report order.  A split ring runs the
+# local rows at each prime; the oracle row is absent above 10**5 candidates.
+_CHECKS = (
+    ("idempotent-laws", lambda c: c.split,
+     lambda c: crt.idempotents(c.ring.parameter).check_laws()),
+    ("base-change", lambda c: c.split,
+     lambda c: [v for i in range(len(c.locals))
+                for v in crt.base_change_violations(c.result, i)]),
+    ("method-agreement", lambda c: c.ring.is_field, _method_agreement),
+    ("kernel-exactness", lambda c: not c.finite, _each_local(_kernel_exactness)),
+    ("rank-identity", lambda c: not c.finite, _each_local(_rank_identity)),
+    ("splitting-witness", lambda c: c.witness is not None,
+     lambda c: check_witness(c.a, c.b, c.result, c.witness)),
+    ("cardinality", lambda c: c.finite, _cardinality),
+    ("oracle", lambda c: c.finite and c.ring.size ** c.b.ncols <= 10 ** 5, _oracle),
+    ("automorphism-identities", lambda c: c.finite,
+     _each_local(_automorphism_identities)),
+    ("saturation", lambda c: not c.finite, _each_local(_saturation)),
+)
 
 
 def verify_instance(a: Matrix, b: Matrix, trials: int = 5,
                     seed: int = DEFAULT_SEED, collect: bool = False) -> list:
     """Run the full invariant suite on one instance.
 
-    Returns [(check name, violations)]; with collect=False the empty
-    checks are dropped.
+    Returns [(check name, violations)] for every row of _CHECKS that
+    applies to the ring; with collect=False the empty checks are dropped.
     """
-    rng = random.Random(seed)
-    ring = a.ring
-    if isinstance(ring, PrimeField):
-        checks = _verify_field(a, b, rng, trials)
-    elif isinstance(ring, ModRing):
-        checks = _verify_zmod(a, b, rng, trials)
-    elif ring.coeff_is_prime:
-        checks = _verify_poly(a, b, rng, trials)
-    else:
-        raise MethodUnavailableError(f"verify does not support {ring!r}")
+    c = _Instance(a, b, random.Random(seed), trials)
+    checks = [(name, run(c)) for name, applies, run in _CHECKS if applies(c)]
     return checks if collect else [(n, v) for n, v in checks if v]
 
 
@@ -631,7 +622,7 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code  # argparse exits with 0 (--help) or 2
     try:
         return args.func(args, out)
     except MatrixParseError as exc:

@@ -139,15 +139,20 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
     return _projection_pair(a, b, nullspace, solve_pair)
 
 
-def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
+def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
     """ker(f1|f2) as f2^{-1}(Im f1): solve [M|B](lambda,u) = 0 over a
-    basis M of Im(A) and project to u."""
-    _check_pair(a, b)
+    basis M of Im(A) and project to u.  Forms ker_bar alone."""
     m = image(a).basis
-    ker_bar = _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
+    return _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
+
+
+def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
+    """ker(f1|f2) by the preimage method (``_ker_bar``), with ker_f1 and
+    the joint kernel alongside."""
+    _check_pair(a, b)
     return KernelPairResult(ker_f1=nullspace(a),
                             ker_pair=nullspace(hstack(a, b)),
-                            ker_bar=ker_bar, method="preimage")
+                            ker_bar=_ker_bar(a, b), method="preimage")
 
 
 def quotient_map(a: Matrix) -> QuotientMap:
@@ -300,10 +305,6 @@ def kernel_pair_oracle(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> Submodule:
 
 
 # -- Prop-style identity suite ----------------------------------------------
-
-
-def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
-    return kernel_pair_preimage(a, b).ker_bar
 
 
 def _apply_to_basis(m: Matrix, sub: Submodule) -> Submodule:

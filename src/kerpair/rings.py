@@ -136,6 +136,7 @@ class PrimeField:
 
     kind = "gf"
     is_field = True
+    parameter = property(lambda self: self.p)
 
     def __init__(self, p: int):
         if not 2 <= p <= MAX_MODULUS:
@@ -214,6 +215,7 @@ class ModRing:
 
     kind = "zmod"
     is_field = False
+    parameter = property(lambda self: self.m)
 
     def __init__(self, m: int):
         if not 2 <= m <= MAX_MODULUS:
@@ -295,6 +297,7 @@ class PolyRing:
 
     kind = "polygf"
     is_field = False
+    parameter = property(lambda self: self.n)
 
     def __init__(self, n: int):
         if not 2 <= n <= MAX_MODULUS:

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from kerpair import (
     Matrix,
     MatrixParseError,
-    MethodUnavailableError,
     ModRing,
     PolyRing,
     PrimeField,
@@ -18,7 +18,6 @@ from kerpair import (
 from kerpair.cli import (
     _dumps,
     build_parser,
-    cmd_member,
     format_matrix_file,
     main,
     matrix_kernel,
@@ -392,19 +391,28 @@ def test_kernel_pair_poly30(poly30_file):
     assert code == 2
 
 
-def test_member_poly30_is_unavailable(poly30_file, capsys):
-    code, _ = run_cli(["member", poly30_file, "A", "B", "[1]"])
-    assert code == 2
-    assert "membership over (Z/30)[z] is not supported" in capsys.readouterr().err
-    args = build_parser().parse_args(["member", poly30_file, "A", "B", "[1]"])
-    with pytest.raises(MethodUnavailableError):
-        cmd_member(args, io.StringIO())
+GOLDEN_POLY30 = str(Path(__file__).resolve().parent / "golden" / "in" / "polygf30.txt")
 
 
-def test_verify_poly30_is_unavailable(poly30_file, capsys):
-    code, _ = run_cli(["verify", poly30_file, "A", "B"])
-    assert code == 2
-    assert "verify does not support (Z/30)[z]" in capsys.readouterr().err
+def test_member_poly30():
+    ring, mats = parse_matrix_file(Path(GOLDEN_POLY30).read_text())
+    code, doc = run_json(["member", GOLDEN_POLY30, "A", "B", "[0,15]"])
+    assert code == 0 and doc["member"] is True
+    x = tuple(map(ring.parse, doc["witness"]))
+    u = (ring.parse("[0,15]"),)
+    residual = [ring.add(p, q) for p, q in zip(mats["A"].matvec(x), mats["B"].matvec(u))]
+    assert residual == [ring.zero] * mats["A"].nrows
+    code, doc = run_json(["member", GOLDEN_POLY30, "A", "B", "[1]"])
+    assert code == 1 and doc["member"] is False
+
+
+def test_verify_poly30():
+    code, doc = run_json(["verify", GOLDEN_POLY30, "A", "B", "--trials", "2"])
+    assert code == 0
+    assert [c["check"] for c in doc["checks"]] == [
+        "idempotent-laws", "base-change", "kernel-exactness", "rank-identity",
+        "saturation"]
+    assert all(c["violations"] == [] for c in doc["checks"])
 
 
 # -- simulate command ---------------------------------------------------------
@@ -485,7 +493,7 @@ def test_verify_poly(poly_file):
 def test_verify_negative_control(gf_file, monkeypatch):
     # corrupt the section that verify's splitting check consumes: the
     # violation must surface as a FAIL exit, not be silently accepted
-    import kerpair.cli as cli_mod
+    from kerpair import crt
     from kerpair.kernel import ExactSequenceWitness
     from kerpair.kernel import kernel_pair_projection as real
 
@@ -496,10 +504,28 @@ def test_verify_negative_control(gf_file, monkeypatch):
         return result, ExactSequenceWitness(iota=bad_iota, pi2=witness.pi2,
                                             section=witness.section)
 
-    monkeypatch.setattr(cli_mod, "kernel_pair_projection", corrupted)
+    monkeypatch.setitem(crt.FIELD, "kernel_pair", corrupted)
     code, text = run_cli(["verify", gf_file, "A", "B", "--trials", "1"])
     assert code == 1
     assert "splitting-witness: FAIL" in text
+
+
+def test_verify_runs_one_projection_kernel_pair(gf_file, monkeypatch):
+    # method-agreement compares against the checked kernel pair instead
+    # of computing the projection presentation a second time
+    import kerpair.kernel as kernel_mod
+
+    calls = []
+    real = kernel_mod._projection_pair
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernel_mod, "_projection_pair", counted)
+    code, _ = run_cli(["verify", gf_file, "A", "B", "--trials", "1"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_json_round_trip_stability(zmod_file):

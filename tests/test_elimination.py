@@ -28,7 +28,8 @@ from kerpair import (
     solve,
 )
 from kerpair.crt import kernel_pair
-from kerpair.linalg import solve_pair
+from kerpair.kernel import Automorphism, check_identities
+from kerpair.linalg import random_invertible, solve_pair
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 #: slots of 1 to 17 bytes; entries of 2**16 + 1 need 3 bytes; the largest
@@ -370,6 +371,26 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
         assert witness.section.ncols == result.ker_bar.dim
     assert dims[1] - dims[0] >= 10
     assert counts[0] == counts[1] <= 6
+
+
+def test_eliminations_per_identity_check(monkeypatch):
+    """check_identities computes five ker_bar presentations, each one
+    image and one nullspace; ker_f1 and the joint kernel are not formed."""
+    rng = random.Random(5)
+    ring = PrimeField(7)
+    a = Matrix(ring, 5, 3, [[rng.randrange(7) for _ in range(3)] for _ in range(5)])
+    b = Matrix(ring, 5, 4, [[rng.randrange(7) for _ in range(4)] for _ in range(5)])
+    psis = [Automorphism(random_invertible(ring, n, rng)) for n in (3, 4, 5)]
+    calls = []
+    real = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert check_identities(a, b, *psis) == []
+    assert len(calls) <= 17
 
 
 def test_kernel_pair_200x300_is_fast():
