@@ -200,7 +200,7 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
     Hermite generators covers every bounded-degree member; one Hermite
     reduction of zI - A answers all of them.
     """
-    from .polykernel import _solve_columns, kernel_pair_poly
+    from .polykernel import _solve_columns, hermite_with_transform, kernel_pair_poly
 
     p_matrix, b_poly = pencil(sys)
     ring = p_matrix.ring
@@ -218,7 +218,8 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
         for k in range(top + 1):
             shifted = tuple(ring.mul(e, (0,) * k + (1,)) for e in col)
             shifts.append((j, k, b_poly.matvec(shifted)))
-    xs = _solve_columns(p_matrix, [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
+    xs = _solve_columns(hermite_with_transform(p_matrix),
+                        [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
     for (j, k, bu), x in zip(shifts, xs):
         if x is None:
             out.append(f"generator {j} shifted by z^{k} lost its witness")

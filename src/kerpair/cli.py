@@ -33,9 +33,10 @@ from .crt import kernel as matrix_kernel
 from .errors import ConsistencyViolatedError, KerpairError, MatrixParseError
 from .kernel import (
     Automorphism,
+    _ker_bar,
+    _quotient_ker_bar,
     check_identities,
     check_witness,
-    kernel_pair_field,
     kernel_pair_oracle,
 )
 from .linalg import Submodule, random_invertible
@@ -443,9 +444,8 @@ def _each_local(check):
 
 
 def _method_agreement(c) -> list:
-    bars = {"projection": c.result.ker_bar}
-    bars.update((m, kernel_pair_field(c.a, c.b, m).ker_bar)
-                for m in ("preimage", "quotient"))
+    bars = {"projection": c.result.ker_bar, "preimage": _ker_bar(c.a, c.b),
+            "quotient": _quotient_ker_bar(c.a, c.b)[0]}
     if bars["projection"] == bars["preimage"] == bars["quotient"]:
         return []
     return ["method presentations differ: "

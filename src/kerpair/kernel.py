@@ -105,18 +105,16 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _projection_pair(a: Matrix, b: Matrix, kernel, solve_pair):
-    """ker(f1|f2) as the u-projection of the joint kernel of [A|B], with
-    the split-sequence witness: one section column (x_u, u) per ker_bar
-    basis vector u, where ``solve_pair(A, B, us)`` gives every x_u with
-    A x_u = -B u at once.  ``kernel`` and ``solve_pair`` are the local
-    ring's: elimination over GF(p), Hermite over GF(p)[z]."""
-    _check_pair(a, b)
+def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve_pair):
+    """ker(f1|f2) as the u-projection of the joint kernel ``ker_pair`` of
+    [A|B], with the split-sequence witness: one section column (x_u, u)
+    per ker_bar basis vector u, where ``solve_pair(A, B, us)`` gives every
+    x_u with A x_u = -B u at once.  The kernels and ``solve_pair`` are the
+    local ring's: elimination over GF(p), Hermite over GF(p)[z]."""
     ring = a.ring
     q1, q2 = a.ncols, b.ncols
-    ker_pair = kernel(hstack(a, b))
     ker_bar = _project_u(ker_pair, q1, q2)
-    result = KernelPairResult(ker_f1=kernel(a), ker_pair=ker_pair,
+    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
                               ker_bar=ker_bar, method="projection")
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
@@ -136,7 +134,8 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
 
     Returns the result together with the split-sequence witness.
     """
-    return _projection_pair(a, b, nullspace, solve_pair)
+    _check_pair(a, b)
+    return _projection_pair(a, b, nullspace(a), nullspace(hstack(a, b)), solve_pair)
 
 
 def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
@@ -162,11 +161,17 @@ def quotient_map(a: Matrix) -> QuotientMap:
     return QuotientMap(matrix=c, rank_f1=res.rank)
 
 
+def _quotient_ker_bar(a: Matrix, b: Matrix):
+    """(ker(p1 . f2), p1) where p1 is the quotient map N -> N/Im(f1).
+    Forms ker_bar alone."""
+    qm = quotient_map(a)
+    return nullspace(qm.matrix @ b), qm
+
+
 def kernel_pair_quotient(a: Matrix, b: Matrix):
     """ker(f1|f2) as ker(p1 . f2) where p1 is the quotient map N -> N/Im(f1)."""
     _check_pair(a, b)
-    qm = quotient_map(a)
-    ker_bar = nullspace(qm.matrix @ b)
+    ker_bar, qm = _quotient_ker_bar(a, b)
     result = KernelPairResult(ker_f1=nullspace(a),
                               ker_pair=nullspace(hstack(a, b)),
                               ker_bar=ker_bar, method="quotient")

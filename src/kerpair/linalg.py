@@ -246,11 +246,9 @@ class Submodule:
             basis = Matrix._canonical(ring, ambient, len(cols), zip(*cols)) if cols else \
                 Matrix.zeros(ring, ambient, 0)
             return cls(ring, ambient, "field", basis=basis, pivot_rows=pivots)
-        from .polykernel import hermite_form
+        from .polykernel import hermite_basis
 
-        basis = hermite_form(Matrix.from_columns(ring, columns, nrows=ambient)
-                             if columns else Matrix.zeros(ring, ambient, 0))
-        return cls(ring, ambient, "poly", basis=basis, pivot_rows=_poly_pivot_rows(basis))
+        return hermite_basis(Matrix.from_columns(ring, columns, nrows=ambient)).submodule
 
     @classmethod
     def glued(cls, ring, ambient, components) -> "Submodule":
@@ -323,10 +321,8 @@ class Submodule:
         v = tuple(self.ring.normalize(e) for e in v)
         if len(v) != self.ambient:
             raise AmbientMismatchError(f"vector length {len(v)} != ambient {self.ambient}")
-        if self.kind == "field":
-            return self._contains_field(v)
-        if self.kind == "poly":
-            return self._contains_poly(v)
+        if self.kind in ("field", "poly"):
+            return self._contains_local(v)
         split = split_ring(self.ring)
         coords = []
         for i, comp in enumerate(self.components):
@@ -336,18 +332,10 @@ class Submodule:
             coords.extend(local)
         return tuple(coords)
 
-    def _contains_field(self, v):
-        ring = self.ring
-        coords = tuple(v[r] for r in self.pivot_rows)
-        residual = list(v)
-        for c, col in zip(coords, self.basis.columns()):
-            for i, x in enumerate(col):
-                residual[i] = ring.sub(residual[i], ring.mul(c, x))
-        return coords if all(x == ring.zero for x in residual) else None
-
-    def _contains_poly(self, v):
-        # division against the Hermite basis: at each pivot row only the
-        # current column contributes, so the quotient there must be exact
+    def _contains_local(self, v):
+        # division against the echelon or Hermite basis: at each pivot row
+        # only the current column contributes, so the quotient there must be
+        # exact (over GF(p) the pivots are 1 and the quotient is v's entry)
         ring = self.ring
         residual = list(v)
         coords = []
@@ -383,15 +371,6 @@ class Submodule:
                     f"rank={self.basis.ncols})")
         return (f"Submodule({self.ring!r}, ambient={self.ambient}, "
                 f"components={self.components!r})")
-
-
-def _poly_pivot_rows(basis: Matrix) -> tuple:
-    ring = basis.ring
-    pivots = []
-    for j in range(basis.ncols):
-        col = basis.column(j)
-        pivots.append(next(i for i, e in enumerate(col) if e != ring.zero))
-    return tuple(pivots)
 
 
 def submodule_equal(s: Submodule, t: Submodule) -> bool:

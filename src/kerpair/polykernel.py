@@ -6,22 +6,23 @@ generating sets into column Hermite normal form, and builds kernel
 pairs with their split-sequence witnesses over GF(p)[z] and, glued
 componentwise, over (Z/m)[z] for square-free m.
 
-Everything here is read off one computation, the column Hermite
-reduction A U = [H | 0] with U unimodular: the rank over the fraction
-field is the number of pivots of H, the trailing columns of U are a
-basis of ker A (unimodularity makes them generate the whole kernel
-module, not merely a GF(p)(z)-basis of it), and A x = c is solved by
-division against H.  The scalar linearization, whose nullspace holds
-every kernel vector of degree <= D, is kept only as the saturation
-oracle of ``verify`` and the tests.
+Everything here is read off one column Hermite reduction, ``_hermite``:
+the rank over the fraction field is the number of pivots of H.  Only
+kernels and solves carry a transform: A U = [H | 0], U unimodular, is
+the reduction of [A; I] with U riding as extra rows, the trailing
+columns of U are a basis of ker A (unimodularity makes them generate
+the whole kernel module, not merely a GF(p)(z)-basis of it), and A x = c
+is solved by division against H.  The scalar linearization, whose
+nullspace holds every kernel vector of degree <= D, is kept only as the
+saturation oracle of ``verify`` and the tests.
 """
 
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, NotAFieldError, RingMismatchError
-from .kernel import _projection_pair
+from .kernel import _check_pair, _projection_pair
 from .linalg import Submodule, nullspace
-from .matrix import Matrix
+from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField, split_ring
 
 
@@ -60,7 +61,7 @@ class PolyKernelBasis:
 def rank_over_fractions(a: Matrix) -> int:
     """Rank of a polynomial matrix over the fraction field GF(p)(z): the
     number of Hermite pivots, since unimodular column operations keep it."""
-    return len(hermite_with_transform(a)[2])
+    return hermite_basis(a).rank
 
 
 # -- kernel and saturation oracle --------------------------------------------
@@ -110,39 +111,59 @@ def poly_kernel(a: Matrix) -> PolyKernelBasis:
     With A U = [H | 0] and U unimodular, the trailing columns of U span
     ker A exactly; their Hermite form is the canonical basis.
     """
-    h, u, _ = hermite_with_transform(a)
-    return hermite_basis(Matrix.from_columns(a.ring, u.columns()[h.ncols:], nrows=a.ncols))
+    return _kernel_of(hermite_with_transform(a))
+
+
+def _kernel_of(reduction) -> PolyKernelBasis:
+    """poly_kernel from the reduction (H, U, pivot rows) of A."""
+    h, u, _ = reduction
+    return hermite_basis(Matrix.from_columns(h.ring, u.columns()[h.ncols:], nrows=u.nrows))
 
 
 # -- Hermite normal form -----------------------------------------------------
 
 
-def _euclid_rows(ring, work, r):
-    """Zero out row r in all but one of the columns hitting it.
-
-    ``work`` holds (column, transform-column) pairs whose first nonzero
-    entry is at row r or below; classical gcd cascade on the row-r
-    entries, smallest degree first.
-    """
-    while True:
-        hot = [wc for wc in work if wc[0][r] != ring.zero]
-        if len(hot) <= 1:
-            return hot[0] if hot else None
-        hot.sort(key=lambda wc: (len(wc[0][r]), wc[0][r], wc[1]))
-        base = hot[0]
-        for other in hot[1:]:
-            q, _ = ring.divmod(other[0][r], base[0][r])
-            _column_op(ring, other, base, q)
-
-
-def _column_op(ring, target, source, q):
-    """target -= q * source, applied to the (column, transform) pair."""
-    col, ucol = target
-    scol, sucol = source
-    for i in range(len(col)):
-        col[i] = ring.sub(col[i], ring.mul(q, scol[i]))
-    for i in range(len(ucol)):
-        ucol[i] = ring.sub(ucol[i], ring.mul(q, sucol[i]))
+def _hermite(ring, cols, m):
+    """Column Hermite reduction of the first ``m`` rows of ``cols``, a list
+    of columns of equal length >= m; the rows below (a transform, say) go
+    through the same column operations, as the extra columns do in
+    ``linalg._eliminate``.  Each row runs the gcd cascade on its entries,
+    smallest degree first, until one column is left hitting it, whose
+    pivot is made monic; then every earlier pivot column is reduced below
+    the pivot degree in each later pivot row.
+    Returns (pivot columns, remaining columns, pivot rows)."""
+    _require_poly_field(ring)
+    zero = ring.zero
+    work = [list(c) for c in cols]
+    basis, pivot_rows = [], []
+    for r in range(m):
+        while True:
+            hot = [c for c in work if c[r] != zero]
+            if len(hot) <= 1:
+                break
+            # ties go by the rows below m, which fixes U when they hold one
+            hot.sort(key=lambda c: (len(c[r]), c[r], c[m:]))
+            base = hot[0]
+            for other in hot[1:]:
+                q, _ = ring.divmod(other[r], base[r])
+                # rows above r are zero in every column still in work
+                other[r:] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(other[r:], base[r:])]
+        if not hot:
+            continue
+        pivot = hot[0]
+        inv = ring.inv(ring.constant(pivot[r][-1]))
+        pivot[r:] = [ring.mul(inv, e) for e in pivot[r:]]
+        work = [c for c in work if c is not pivot]
+        basis.append(pivot)
+        pivot_rows.append(r)
+    for j, r in enumerate(pivot_rows):
+        source = basis[j]
+        for target in basis[:j]:
+            q, _ = ring.divmod(target[r], source[r])
+            if q != zero:
+                target[r:] = [ring.sub(x, ring.mul(q, y))
+                              for x, y in zip(target[r:], source[r:])]
+    return basis, work, tuple(pivot_rows)
 
 
 def hermite_with_transform(g: Matrix):
@@ -151,47 +172,29 @@ def hermite_with_transform(g: Matrix):
 
     H's pivots are monic, sit in strictly increasing rows, and every
     entry of an earlier column in a pivot row has lower degree than the
-    pivot.  The trailing columns of U are a basis of ker(g).
+    pivot.  The trailing columns of U are a basis of ker(g).  U is the
+    identity carried as extra rows through the reduction of g.
     """
-    _require_poly_field(g.ring)
-    ring = g.ring
-    eye = Matrix.identity(ring, g.ncols)
-    work = [[list(g.column(j)), list(eye.column(j))] for j in range(g.ncols)]
-    basis = []
-    pivot_rows = []
-    for r in range(g.nrows):
-        pivot = _euclid_rows(ring, work, r)
-        if pivot is None:
-            continue
-        inv = ring.inv(ring.constant(pivot[0][r][-1]))
-        pivot[0] = [ring.mul(inv, e) for e in pivot[0]]
-        pivot[1] = [ring.mul(inv, e) for e in pivot[1]]
-        work = [wc for wc in work if wc is not pivot]
-        basis.append(pivot)
-        pivot_rows.append(r)
-    # back-reduce earlier columns below the pivot degree in each pivot row
-    for j, r in enumerate(pivot_rows):
-        for k in range(j):
-            q, _ = ring.divmod(basis[k][0][r], basis[j][0][r])
-            if q != ring.zero:
-                _column_op(ring, basis[k], basis[j], q)
-    h = Matrix.from_columns(ring, [b[0] for b in basis], nrows=g.nrows)
-    u = Matrix.from_columns(ring, [b[1] for b in basis] + [wc[1] for wc in work],
-                            nrows=g.ncols)
-    return h, u, tuple(pivot_rows)
+    ring, m = g.ring, g.nrows
+    basis, rest, pivot_rows = _hermite(
+        ring, vstack(g, Matrix.identity(ring, g.ncols)).columns(), m)
+    h = Matrix.from_columns(ring, [c[:m] for c in basis], nrows=m)
+    u = Matrix.from_columns(ring, [c[m:] for c in basis + rest], nrows=g.ncols)
+    return h, u, pivot_rows
 
 
 def hermite_form(g: Matrix) -> Matrix:
     """Column Hermite normal form of the column span of g."""
-    h, _, _ = hermite_with_transform(g)
-    return h
+    return hermite_basis(g).basis
 
 
 def hermite_basis(g: Matrix) -> PolyKernelBasis:
-    h, _, pivots = hermite_with_transform(g)
+    """Column Hermite basis of the column span of g, without a transform."""
+    basis, _, pivots = _hermite(g.ring, g.columns(), g.nrows)
+    h = Matrix.from_columns(g.ring, basis, nrows=g.nrows)
     return PolyKernelBasis(
         ambient=g.nrows, basis=h, rank=h.ncols,
-        column_degrees=tuple(vector_degree(h.column(j)) for j in range(h.ncols)),
+        column_degrees=tuple(vector_degree(c) for c in basis),
         pivot_rows=pivots)
 
 
@@ -200,15 +203,15 @@ def kernel_via_unimodular(a: Matrix) -> Submodule:
     return poly_kernel(a).submodule
 
 
-def _solve_columns(a: Matrix, cs) -> list:
-    """For each c in ``cs``, what poly_solve(a, c) returns, from one
-    Hermite reduction of A."""
+def _solve_columns(reduction, cs) -> list:
+    """For each c in ``cs``, what poly_solve(A, c) returns, read off the
+    reduction (H, U, pivot rows) = hermite_with_transform(A)."""
+    h, u, pivot_rows = reduction
     for c in cs:
-        if len(c) != a.nrows:
-            raise DimensionMismatchError(f"rhs length {len(c)} != {a.nrows} rows")
-    h, u, pivot_rows = hermite_with_transform(a)
-    hermite = Submodule(a.ring, a.nrows, "poly", basis=h, pivot_rows=pivot_rows)
-    pad = (a.ring.zero,) * (u.ncols - h.ncols)
+        if len(c) != h.nrows:
+            raise DimensionMismatchError(f"rhs length {len(c)} != {h.nrows} rows")
+    hermite = Submodule(h.ring, h.nrows, "poly", basis=h, pivot_rows=pivot_rows)
+    pad = (h.ring.zero,) * (u.ncols - h.ncols)
     out = []
     for c in cs:
         coords = hermite.contains(c)
@@ -224,7 +227,7 @@ def poly_solve(a: Matrix, c) -> tuple | None:
     an exact division or the system is unsolvable.  Coordinates off the
     Hermite basis are pinned to zero, making the witness deterministic.
     """
-    return _solve_columns(a, [c])[0]
+    return _solve_columns(hermite_with_transform(a), [c])[0]
 
 
 # -- kernel pairs over GF(p)[z] ----------------------------------------------
@@ -235,12 +238,17 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
 
     ker_bar is the Hermite form of the u-block of the joint kernel
     basis; exactness of the projection means those generators already
-    span ker(A|B), no saturation pass needed.
+    span ker(A|B), no saturation pass needed.  One reduction of A gives
+    both ker_f1 and every section solve.
     """
-    def solve_pair(a, b, us):
-        return _solve_columns(a, [tuple(map(b.ring.neg, b.matvec(u))) for u in us])
+    _check_pair(a, b)
+    reduction = hermite_with_transform(a)
 
-    return _projection_pair(a, b, lambda m: poly_kernel(m).submodule, solve_pair)
+    def solve_pair(a, b, us):
+        return _solve_columns(reduction, [tuple(map(b.ring.neg, b.matvec(u))) for u in us])
+
+    return _projection_pair(a, b, _kernel_of(reduction).submodule,
+                            poly_kernel(hstack(a, b)).submodule, solve_pair)
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

@@ -183,6 +183,10 @@ class PrimeField:
             raise NotInvertible(f"0 is not invertible in GF({self.p})")
         return pow(a, -1, self.p)
 
+    def divmod(self, a, b):
+        """Exact division in a field: (a * b^-1, 0)."""
+        return self.mul(a, self.inv(b)), 0
+
     def elements(self):
         return range(self.p)
 

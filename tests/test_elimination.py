@@ -12,6 +12,7 @@ included.
 
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from kerpair import (
     rref,
     solve,
 )
+from kerpair.cli import _Instance, _method_agreement, parse_matrix_file
 from kerpair.crt import kernel_pair
 from kerpair.kernel import Automorphism, check_identities
 from kerpair.linalg import random_invertible, solve_pair
@@ -391,6 +393,25 @@ def test_eliminations_per_identity_check(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert check_identities(a, b, *psis) == []
     assert len(calls) <= 17
+
+
+def test_eliminations_per_method_agreement(monkeypatch):
+    """verify's method-agreement row forms the preimage and quotient
+    ker_bar alone: 3 eliminations for the preimage (image, nullspace,
+    projection), 2 for the quotient (rref, nullspace)."""
+    ring, matrices = parse_matrix_file(
+        (Path(__file__).resolve().parent / "golden" / "in" / "gf5.txt").read_text())
+    c = _Instance(matrices["A"], matrices["B"], random.Random(0), 1)
+    calls = []
+    real = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert _method_agreement(c) == []
+    assert len(calls) <= 5
 
 
 def test_kernel_pair_200x300_is_fast():

@@ -5,14 +5,18 @@ code and stdout byte for byte with ``tests/golden/out/<case>.txt``.
 The instances live in ``tests/golden/in/``; they cover every command on
 GF(5), Z/30, Z/12 (not square-free: the error paths), GF(5)[z] and
 (Z/30)[z], every kernel-pair method valid for the ring and one that is
-not.  Regenerate the expected files (only when an output change is
-intended) with
+not.  Each script in ``demos/`` runs in a subprocess with
+``PYTHONPATH=src``, its stdout compared byte for byte with
+``tests/golden/demos/<name>.txt``.  Regenerate the expected files (only
+when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,9 +24,12 @@ import pytest
 
 from kerpair.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 IN = GOLDEN / "in"
 OUT = GOLDEN / "out"
+DEMO_OUT = GOLDEN / "demos"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 METHODS = {
     "gf5": ["projection", "preimage", "quotient", "oracle", "auto", "crt"],
@@ -39,16 +46,7 @@ VECTORS = {
     "polygf5": ["[2,3],[0]", "[0],[1]"],
     "polygf30": ["[0]"],
 }
-# the periodic boundary over polynomial rings is left out: it crashed with
-# an AttributeError when this corpus was recorded; test_behavior.py covers
-# it instead
-BOUNDARIES = {
-    "gf5": ["free", "fixed", "periodic"],
-    "zmod30": ["free", "fixed", "periodic"],
-    "zmod12": ["free", "fixed", "periodic"],
-    "polygf5": ["free", "fixed"],
-    "polygf30": ["free", "fixed"],
-}
+BOUNDARIES = ("free", "fixed", "periodic")
 
 
 def _cases():
@@ -66,7 +64,7 @@ def _cases():
         for k, vec in enumerate(VECTORS[ring]):
             cases[f"{ring}-member-{k}"] = ["member", f, "A", "B", vec]
         cases[f"{ring}-verify"] = ["verify", f, "A", "B", "--trials", "2"]
-        for boundary in BOUNDARIES[ring]:
+        for boundary in BOUNDARIES:
             argv = ["simulate", f, "A", "B", "--u-file", str(IN / f"{ring}_u.txt"),
                     "--boundary", boundary]
             if boundary == "fixed":
@@ -85,14 +83,26 @@ def render(argv) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
+def run_demo(script) -> str:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden(case):
     expected = (OUT / f"{case}.txt").read_text()
     assert render(CASES[case]) == expected
 
 
+@pytest.mark.parametrize("script", DEMOS, ids=lambda s: s.stem)
+def test_demo_output(script):
+    assert run_demo(script) == (DEMO_OUT / f"{script.stem}.txt").read_text()
+
+
 def test_corpus_has_no_stray_files():
     assert sorted(p.stem for p in OUT.glob("*.txt")) == sorted(CASES)
+    assert sorted(p.stem for p in DEMO_OUT.glob("*.txt")) == [s.stem for s in DEMOS]
 
 
 if __name__ == "__main__":
@@ -101,4 +111,7 @@ if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     for case, argv in CASES.items():
         (OUT / f"{case}.txt").write_text(render(argv))
-    print(f"wrote {len(CASES)} cases to {OUT}")
+    DEMO_OUT.mkdir(exist_ok=True)
+    for script in DEMOS:
+        (DEMO_OUT / f"{script.stem}.txt").write_text(run_demo(script))
+    print(f"wrote {len(CASES)} cases to {OUT} and {len(DEMOS)} demos to {DEMO_OUT}")

@@ -176,22 +176,29 @@ def test_submodule_member_fixtures():
 
 
 def test_member_coordinates_reconstruct():
+    """A member's coordinates rebuild it; over GF(p) the reduced echelon
+    pivots are 1, so they are its entries at the pivot rows.  A vector
+    outside the span is rejected."""
     rng = random.Random(81)
-    for _ in range(200):
-        vecs = [tuple(rng.randrange(3) for _ in range(3))
+    for ring, _ in itertools.product((GF2, GF3, GF5, PrimeField(101)), range(150)):
+        p = ring.p
+        vecs = [tuple(rng.randrange(p) for _ in range(3))
                 for _ in range(rng.randint(1, 3))]
-        sub = Submodule.from_columns(GF3, 3, vecs)
-        coeffs = [rng.randrange(3) for _ in sub.basis.columns()]
-        v = tuple(sub.ring.normalize(sum(c * col[i] for c, col in
-                                         zip(coeffs, sub.basis.columns())))
+        sub = Submodule.from_columns(ring, 3, vecs)
+        coeffs = [rng.randrange(p) for _ in sub.basis.columns()]
+        v = tuple(ring.normalize(sum(c * col[i] for c, col in
+                                     zip(coeffs, sub.basis.columns())))
                   for i in range(3))
         coords = sub.contains(v)
-        assert coords is not None
+        assert coords == tuple(v[r] for r in sub.pivot_rows)
         rebuilt = [0, 0, 0]
         for c, col in zip(coords, sub.basis.columns()):
             for i, x in enumerate(col):
-                rebuilt[i] = GF3.add(rebuilt[i], GF3.mul(c, x))
+                rebuilt[i] = ring.add(rebuilt[i], ring.mul(c, x))
         assert tuple(rebuilt) == v
+        w = tuple(rng.randrange(p) for _ in range(3))
+        inside = Submodule.from_columns(ring, 3, vecs + [w]).dim == sub.dim
+        assert sub.contains(w) == (tuple(w[r] for r in sub.pivot_rows) if inside else None)
 
 
 def test_ambient_mismatch():

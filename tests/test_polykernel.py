@@ -10,6 +10,7 @@ from kerpair import (
     NotAFieldError,
     PolyRing,
     PrimeField,
+    Submodule,
     check_witness,
     hstack,
     hermite_basis,
@@ -39,6 +40,70 @@ Z = (0, 1)
 
 def pm(ring, rows):
     return Matrix(ring, len(rows), len(rows[0]), rows)
+
+
+# -- reference: the Hermite reduction on (column, transform) pairs ------------
+#
+# ``polykernel._hermite`` replaced these three functions, kept here
+# verbatim under ref_ names: every Hermite result must equal theirs exactly.
+
+
+def ref_euclid_rows(ring, work, r):
+    """Zero out row r in all but one of the columns hitting it.
+
+    ``work`` holds (column, transform-column) pairs whose first nonzero
+    entry is at row r or below; classical gcd cascade on the row-r
+    entries, smallest degree first.
+    """
+    while True:
+        hot = [wc for wc in work if wc[0][r] != ring.zero]
+        if len(hot) <= 1:
+            return hot[0] if hot else None
+        hot.sort(key=lambda wc: (len(wc[0][r]), wc[0][r], wc[1]))
+        base = hot[0]
+        for other in hot[1:]:
+            q, _ = ring.divmod(other[0][r], base[0][r])
+            ref_column_op(ring, other, base, q)
+
+
+def ref_column_op(ring, target, source, q):
+    """target -= q * source, applied to the (column, transform) pair."""
+    col, ucol = target
+    scol, sucol = source
+    for i in range(len(col)):
+        col[i] = ring.sub(col[i], ring.mul(q, scol[i]))
+    for i in range(len(ucol)):
+        ucol[i] = ring.sub(ucol[i], ring.mul(q, sucol[i]))
+
+
+def ref_hermite_with_transform(g: Matrix):
+    """(H, U, pivot_rows) with H the column Hermite form of g and U
+    unimodular such that g @ U = [H | 0]."""
+    ring = g.ring
+    eye = Matrix.identity(ring, g.ncols)
+    work = [[list(g.column(j)), list(eye.column(j))] for j in range(g.ncols)]
+    basis = []
+    pivot_rows = []
+    for r in range(g.nrows):
+        pivot = ref_euclid_rows(ring, work, r)
+        if pivot is None:
+            continue
+        inv = ring.inv(ring.constant(pivot[0][r][-1]))
+        pivot[0] = [ring.mul(inv, e) for e in pivot[0]]
+        pivot[1] = [ring.mul(inv, e) for e in pivot[1]]
+        work = [wc for wc in work if wc is not pivot]
+        basis.append(pivot)
+        pivot_rows.append(r)
+    # back-reduce earlier columns below the pivot degree in each pivot row
+    for j, r in enumerate(pivot_rows):
+        for k in range(j):
+            q, _ = ring.divmod(basis[k][0][r], basis[j][0][r])
+            if q != ring.zero:
+                ref_column_op(ring, basis[k], basis[j], q)
+    h = Matrix.from_columns(ring, [b[0] for b in basis], nrows=g.nrows)
+    u = Matrix.from_columns(ring, [b[1] for b in basis] + [wc[1] for wc in work],
+                            nrows=g.ncols)
+    return h, u, tuple(pivot_rows)
 
 
 def fraction_free_rank(a):
@@ -110,6 +175,39 @@ def test_rank_of_16x16_degree_1_is_fast():
         assert rank_over_fractions(a) == 16
         times.append(time.perf_counter() - start)
     assert min(times) < 1.0
+
+
+def _hermite_cases():
+    """GF(p)[z] matrices up to 6x8 of every awkward shape: no rows, no
+    columns, zero, repeated columns, low rank, and plain random ones."""
+    rng = random.Random(401)
+    for p in (2, 3, 5, 7, 101):
+        ring = PolyRing(p)
+        yield Matrix.zeros(ring, 0, rng.randint(0, 4))
+        yield Matrix.zeros(ring, rng.randint(1, 4), 0)
+        yield Matrix.zeros(ring, 3, 4)
+        for _ in range(6):
+            m, n = rng.randint(1, 6), rng.randint(1, 8)
+            g = random_matrix(ring, m, n, rng, max_degree=rng.randint(0, 2))
+            yield g
+            cols = g.columns()
+            yield Matrix.from_columns(ring, cols + cols[:2], nrows=m)
+            k = rng.randint(1, 2)
+            yield (random_matrix(ring, m, k, rng, max_degree=1)
+                   @ random_matrix(ring, k, n, rng, max_degree=1))
+
+
+def test_hermite_matches_reference_exactly():
+    """H, U and pivot rows equal the (column, transform) pair reduction's;
+    the transform-free entries agree with its H and pivots."""
+    for g in _hermite_cases():
+        h, u, pivots = ref_hermite_with_transform(g)
+        assert hermite_with_transform(g) == (h, u, pivots)
+        basis = hermite_basis(g)
+        assert (basis.basis, basis.pivot_rows, basis.rank) == (h, pivots, h.ncols)
+        assert hermite_form(g) == h
+        assert rank_over_fractions(g) == len(pivots)
+        assert Submodule.from_columns(g.ring, g.nrows, g.columns()) == basis.submodule
 
 
 def test_hermite_fixture_scaling():
@@ -200,19 +298,25 @@ def test_kernel_annihilates_and_saturates():
 def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     """A GF(7)[z] kernel pair runs a fixed number of Hermite reductions,
     whatever dim ker_bar is, and never the degree-bounded nullspaces; the
-    section is one batched solve, not one per column."""
-    calls = {"hermite": 0, "sweep": 0}
-    real = polykernel.hermite_with_transform
+    section is one batched solve, not one per column.  Only the
+    reductions of A and of [A | B] carry a transform."""
+    calls = {"hermite": 0, "transform": 0, "sweep": 0}
+    real_hermite, real_transform = polykernel._hermite, polykernel.hermite_with_transform
 
-    def counted(g):
+    def counted_hermite(ring, cols, m):
         calls["hermite"] += 1
-        return real(g)
+        return real_hermite(ring, cols, m)
+
+    def counted_transform(g):
+        calls["transform"] += 1
+        return real_transform(g)
 
     def forbidden(a, bound):
         calls["sweep"] += 1
         return []
 
-    monkeypatch.setattr(polykernel, "hermite_with_transform", counted)
+    monkeypatch.setattr(polykernel, "_hermite", counted_hermite)
+    monkeypatch.setattr(polykernel, "hermite_with_transform", counted_transform)
     monkeypatch.setattr(polykernel, "kernel_vectors_up_to", forbidden)
     ring = PolyRing(7)
     rng = random.Random(7)
@@ -220,14 +324,15 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     counts, dims = [], []
     for b in (random_matrix(ring, 5, 5, rng, max_degree=1),
               a @ random_matrix(ring, 2, 5, rng, max_degree=1)):
-        calls["hermite"] = 0
+        calls["hermite"] = calls["transform"] = 0
         result, witness = kernel_pair(a, b)
-        counts.append(calls["hermite"])
+        counts.append((calls["hermite"], calls["transform"]))
         dims.append(result.ker_bar.dim)
         assert witness.section.ncols == result.ker_bar.dim
     assert dims[1] - dims[0] >= 3, dims
     assert calls["sweep"] == 0
-    assert counts[0] == counts[1] <= 6, counts
+    assert counts[0] == counts[1], counts
+    assert counts[0][0] <= 5 and counts[0][1] <= 2, counts
 
 
 def test_poly_kernel_requires_prime_coefficients():
