@@ -197,15 +197,16 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
     the joint and relative kernels have equal rank, and every admissible
     u(z) of degree <= degree_bound must admit a polynomial state witness.
     Witness existence is linear in u, so checking it on the z-shifted
-    Hermite generators covers every bounded-degree member; one Hermite
-    reduction of zI - A answers all of them.
+    Hermite generators covers every bounded-degree member; the reduction
+    of zI - A that the kernel pair reads answers all of them.
     """
-    from .polykernel import _solve_columns, hermite_with_transform, kernel_pair_poly
+    from .polykernel import _kernel_pair_reduced, _solve_columns, _with_transform
 
     p_matrix, b_poly = pencil(sys)
     ring = p_matrix.ring
     out = []
-    result, _ = kernel_pair_poly(p_matrix, b_poly)
+    reduction = _with_transform(p_matrix)
+    result, _ = _kernel_pair_reduced(p_matrix, b_poly, reduction)
     if result.ker_f1.rank != 0:
         out.append("pencil zI - A has a nonzero kernel")
     if result.ker_pair.rank != result.ker_bar.rank:
@@ -218,8 +219,7 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
         for k in range(top + 1):
             shifted = tuple(ring.mul(e, (0,) * k + (1,)) for e in col)
             shifts.append((j, k, b_poly.matvec(shifted)))
-    xs = _solve_columns(hermite_with_transform(p_matrix),
-                        [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
+    xs = _solve_columns(reduction, [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
     for (j, k, bu), x in zip(shifts, xs):
         if x is None:
             out.append(f"generator {j} shifted by z^{k} lost its witness")

@@ -346,8 +346,7 @@ class Submodule:
                 return None
             coords.append(q)
             if q != ring.zero:
-                for i, x in enumerate(col):
-                    residual[i] = ring.sub(residual[i], ring.mul(q, x))
+                residual = [ring.sub_mul(x, q, y) for x, y in zip(residual, col)]
         return tuple(coords) if all(x == ring.zero for x in residual) else None
 
     # -- comparison --------------------------------------------------------

@@ -6,13 +6,14 @@ generating sets into column Hermite normal form, and builds kernel
 pairs with their split-sequence witnesses over GF(p)[z] and, glued
 componentwise, over (Z/m)[z] for square-free m.
 
-Everything here is read off one column Hermite reduction, ``_hermite``:
-the rank over the fraction field is the number of pivots of H.  Only
-kernels and solves carry a transform: A U = [H | 0], U unimodular, is
-the reduction of [A; I] with U riding as extra rows, the trailing
-columns of U are a basis of ker A (unimodularity makes them generate
-the whole kernel module, not merely a GF(p)(z)-basis of it), and A x = c
-is solved by division against H.  The scalar linearization, whose
+Everything here is read off one column reduction, ``_hermite``: the
+rank over the fraction field is the number of pivots of H.  Only kernels
+and solves carry a transform: A U = [H | 0], U unimodular, is the
+reduction of [A; I] with U riding as extra rows, the trailing columns of
+U are a basis of ker A (unimodularity makes them generate the whole
+kernel module, not merely a GF(p)(z)-basis of it), and A x = c is solved
+by division against H; both stop at the echelon form H, before the
+back-reduction, which changes neither.  The scalar linearization, whose
 nullspace holds every kernel vector of degree <= D, is kept only as the
 saturation oracle of ``verify`` and the tests.
 """
@@ -111,7 +112,7 @@ def poly_kernel(a: Matrix) -> PolyKernelBasis:
     With A U = [H | 0] and U unimodular, the trailing columns of U span
     ker A exactly; their Hermite form is the canonical basis.
     """
-    return _kernel_of(hermite_with_transform(a))
+    return _kernel_of(_with_transform(a))
 
 
 def _kernel_of(reduction) -> PolyKernelBasis:
@@ -123,17 +124,17 @@ def _kernel_of(reduction) -> PolyKernelBasis:
 # -- Hermite normal form -----------------------------------------------------
 
 
-def _hermite(ring, cols, m):
+def _hermite(ring, cols, m, back_reduce=True):
     """Column Hermite reduction of the first ``m`` rows of ``cols``, a list
     of columns of equal length >= m; the rows below (a transform, say) go
-    through the same column operations, as the extra columns do in
-    ``linalg._eliminate``.  Each row runs the gcd cascade on its entries,
-    smallest degree first, until one column is left hitting it, whose
-    pivot is made monic; then every earlier pivot column is reduced below
-    the pivot degree in each later pivot row.
+    through the same column operations.  Each row runs the gcd cascade on
+    its entries, smallest degree first, until one column is left hitting
+    it, whose pivot is made monic; ``back_reduce`` then reduces every
+    earlier pivot column below the pivot degree in each later pivot row,
+    which turns the pivot columns into [H; U_p] T, T unit upper triangular.
     Returns (pivot columns, remaining columns, pivot rows)."""
     _require_poly_field(ring)
-    zero = ring.zero
+    zero, sub_mul = ring.zero, ring.sub_mul
     work = [list(c) for c in cols]
     basis, pivot_rows = [], []
     for r in range(m):
@@ -147,7 +148,7 @@ def _hermite(ring, cols, m):
             for other in hot[1:]:
                 q, _ = ring.divmod(other[r], base[r])
                 # rows above r are zero in every column still in work
-                other[r:] = [ring.sub(x, ring.mul(q, y)) for x, y in zip(other[r:], base[r:])]
+                other[r:] = [sub_mul(x, q, y) for x, y in zip(other[r:], base[r:])]
         if not hot:
             continue
         pivot = hot[0]
@@ -156,14 +157,24 @@ def _hermite(ring, cols, m):
         work = [c for c in work if c is not pivot]
         basis.append(pivot)
         pivot_rows.append(r)
-    for j, r in enumerate(pivot_rows):
+    for j, r in enumerate(pivot_rows if back_reduce else ()):
         source = basis[j]
         for target in basis[:j]:
             q, _ = ring.divmod(target[r], source[r])
             if q != zero:
-                target[r:] = [ring.sub(x, ring.mul(q, y))
-                              for x, y in zip(target[r:], source[r:])]
+                target[r:] = [sub_mul(x, q, y) for x, y in zip(target[r:], source[r:])]
     return basis, work, tuple(pivot_rows)
+
+
+def _with_transform(g: Matrix, back_reduce=False):
+    """(H, U, pivot_rows) with U unimodular and g @ U = [H | 0], H in echelon
+    form with monic pivots, or in Hermite form if ``back_reduce``."""
+    ring, m = g.ring, g.nrows
+    basis, rest, pivot_rows = _hermite(
+        ring, vstack(g, Matrix.identity(ring, g.ncols)).columns(), m, back_reduce)
+    h = Matrix.from_columns(ring, [c[:m] for c in basis], nrows=m)
+    u = Matrix.from_columns(ring, [c[m:] for c in basis + rest], nrows=g.ncols)
+    return h, u, pivot_rows
 
 
 def hermite_with_transform(g: Matrix):
@@ -175,12 +186,7 @@ def hermite_with_transform(g: Matrix):
     pivot.  The trailing columns of U are a basis of ker(g).  U is the
     identity carried as extra rows through the reduction of g.
     """
-    ring, m = g.ring, g.nrows
-    basis, rest, pivot_rows = _hermite(
-        ring, vstack(g, Matrix.identity(ring, g.ncols)).columns(), m)
-    h = Matrix.from_columns(ring, [c[:m] for c in basis], nrows=m)
-    u = Matrix.from_columns(ring, [c[m:] for c in basis + rest], nrows=g.ncols)
-    return h, u, pivot_rows
+    return _with_transform(g, back_reduce=True)
 
 
 def hermite_form(g: Matrix) -> Matrix:
@@ -205,7 +211,7 @@ def kernel_via_unimodular(a: Matrix) -> Submodule:
 
 def _solve_columns(reduction, cs) -> list:
     """For each c in ``cs``, what poly_solve(A, c) returns, read off the
-    reduction (H, U, pivot rows) = hermite_with_transform(A)."""
+    reduction (H, U, pivot rows) = _with_transform(A), back-reduced or not."""
     h, u, pivot_rows = reduction
     for c in cs:
         if len(c) != h.nrows:
@@ -222,12 +228,12 @@ def _solve_columns(reduction, cs) -> list:
 def poly_solve(a: Matrix, c) -> tuple | None:
     """Some x(z) with A x = c over GF(p)[z], or None.
 
-    Forward substitution against the Hermite form of A: at each pivot
+    Forward substitution against the echelon form of A: at each pivot
     row only its own column can contribute, so the coordinate there is
     an exact division or the system is unsolvable.  Coordinates off the
     Hermite basis are pinned to zero, making the witness deterministic.
     """
-    return _solve_columns(hermite_with_transform(a), [c])[0]
+    return _solve_columns(_with_transform(a), [c])[0]
 
 
 # -- kernel pairs over GF(p)[z] ----------------------------------------------
@@ -242,13 +248,15 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     both ker_f1 and every section solve.
     """
     _check_pair(a, b)
-    reduction = hermite_with_transform(a)
+    return _kernel_pair_reduced(a, b, _with_transform(a))
 
-    def solve_pair(a, b, us):
-        return _solve_columns(reduction, [tuple(map(b.ring.neg, b.matvec(u))) for u in us])
 
+def _kernel_pair_reduced(a, b, reduction):
+    """kernel_pair_poly(a, b) given the reduction _with_transform(a)."""
     return _projection_pair(a, b, _kernel_of(reduction).submodule,
-                            poly_kernel(hstack(a, b)).submodule, solve_pair)
+                            poly_kernel(hstack(a, b)).submodule,
+                            lambda a, b, us: _solve_columns(
+                                reduction, [tuple(map(b.ring.neg, b.matvec(u))) for u in us]))
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:
@@ -291,9 +299,8 @@ def random_unimodular(ring: PolyRing, n: int, rng, ops: int = 8) -> Matrix:
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:
-            f = ring.normalize([rng.randrange(ring.n) for _ in range(2)])
-            for r in range(n):
-                cols[j][r] = ring.add(cols[j][r], ring.mul(f, cols[i][r]))
+            f = ring.normalize([-rng.randrange(ring.n) for _ in range(2)])
+            cols[j] = [ring.sub_mul(x, f, y) for x, y in zip(cols[j], cols[i])]
         elif kind == 1:
             cols[i], cols[j] = cols[j], cols[i]
         else:

@@ -175,6 +175,9 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
+    def sub_mul(self, a, q, b):
+        return (a - q * b) % self.p
+
     def is_unit(self, a) -> bool:
         return a % self.p != 0
 
@@ -258,6 +261,9 @@ class ModRing:
 
     def mul(self, a, b):
         return (a * b) % self.m
+
+    def sub_mul(self, a, q, b):
+        return (a - q * b) % self.m
 
     def is_unit(self, a) -> bool:
         return math.gcd(a, self.m) == 1
@@ -376,6 +382,16 @@ class PolyRing:
                     cs[i + j] = (cs[i + j] + ca * cb) % self.n
         return self.normalize(cs)
 
+    def sub_mul(self, a, q, b):
+        """a - q*b in one pass: plain-int products, one reduction per coefficient."""
+        if not q or not b:
+            return a
+        cs = [*a, *[0] * (len(q) + len(b) - 1 - len(a))]
+        for i, c in enumerate(q):
+            for j, y in enumerate(b, i):
+                cs[j] -= c * y
+        return self.normalize(cs)
+
     def scale(self, c: int, a):
         return self.normalize(tuple(c * x for x in a))
 
@@ -397,20 +413,13 @@ class PolyRing:
         """Quotient and remainder of a by b; b's leading coefficient must be a unit."""
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = pow(b[-1], -1, self.n)
-        rem = list(a)
-        q = [0] * max(0, len(a) - len(b) + 1)
-        db = len(b) - 1
-        while len(rem) >= len(b):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            shift = len(rem) - len(b)
-            c = (rem[-1] * lead_inv) % self.n
-            q[shift] = c
-            for i, bc in enumerate(b):
-                rem[shift + i] = (rem[shift + i] - c * bc) % self.n
-            rem.pop()
+        n, lead_inv = self.n, pow(b[-1], -1, self.n)
+        rem, q = list(a), [0] * max(0, len(a) - len(b) + 1)
+        for shift in reversed(range(len(q))):
+            # the top term of rem cancels; the rest are reduced at the end
+            c = q[shift] = rem.pop() * lead_inv % n
+            for i, y in enumerate(b[:-1], shift):
+                rem[i] -= c * y
         return self.normalize(q), self.normalize(rem)
 
     def monic(self, a):

@@ -17,6 +17,7 @@ from kerpair import (
     Trajectory,
     admissible,
     codeword_consistency,
+    hstack,
     pencil,
     random_matrix,
     rref,
@@ -288,6 +289,19 @@ def test_codeword_consistency_fixtures():
     # no inputs at all: ker_bar is the zero module of rank 0
     sys0 = SystemPair(Matrix(GF2, 1, 1, [[1]]), Matrix.zeros(GF2, 1, 1))
     assert codeword_consistency(sys0) == []
+
+
+def test_codeword_consistency_reduces_the_pencil_once(monkeypatch):
+    """zI - A is reduced once with a transform, for the kernel pair and
+    the shifted-generator solves alike; [zI - A | B] is the other one."""
+    import kerpair.polykernel as polykernel
+
+    reduced, real = [], polykernel._with_transform
+    monkeypatch.setattr(polykernel, "_with_transform",
+                        lambda g, back_reduce=False: reduced.append(g) or real(g, back_reduce))
+    assert codeword_consistency(delay_system()) == []
+    p_matrix, b_poly = pencil(delay_system())
+    assert reduced == [p_matrix, hstack(p_matrix, b_poly)]
 
 
 def test_codeword_consistency_randoms():

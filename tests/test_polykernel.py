@@ -210,6 +210,34 @@ def test_hermite_matches_reference_exactly():
         assert Submodule.from_columns(g.ring, g.nrows, g.columns()) == basis.submodule
 
 
+def test_echelon_reduction_gives_the_hermite_witnesses():
+    """Kernels and solves read the reduction without back-reduction: its
+    trailing columns of U equal hermite_with_transform's, and every
+    section x = U_p y with H y = c is the same, None where c is not in
+    the image."""
+    start = time.perf_counter()
+    rng = random.Random(419)
+    reduced = found = missing = 0
+    for g in _hermite_cases():
+        ring = g.ring
+        echelon, hermite = polykernel._with_transform(g), hermite_with_transform(g)
+        assert echelon[2] == hermite[2]
+        assert echelon[1].columns()[len(echelon[2]):] == hermite[1].columns()[len(hermite[2]):]
+        reduced += echelon[0] != hermite[0]
+        cs = [g.matvec(tuple(random_matrix(ring, g.ncols, 1, rng).column(0)))
+              for _ in range(2)]
+        cs += [tuple(random_matrix(ring, g.nrows, 1, rng).column(0))]
+        xs = polykernel._solve_columns(echelon, cs)
+        assert xs == polykernel._solve_columns(hermite, cs)
+        for c, x in zip(cs, xs):
+            if x is not None:
+                assert g.matvec(x) == c
+        found += sum(x is not None for x in xs)
+        missing += xs.count(None)
+    assert reduced >= 10 and found >= 100 and missing >= 20, (reduced, found, missing)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_hermite_fixture_scaling():
     g = Matrix.from_columns(F3Z, [((0, 2),)], nrows=1)  # [2z]
     assert hermite_form(g).columns() == [((0, 1),)]     # monic: [z]
@@ -299,24 +327,26 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     """A GF(7)[z] kernel pair runs a fixed number of Hermite reductions,
     whatever dim ker_bar is, and never the degree-bounded nullspaces; the
     section is one batched solve, not one per column.  Only the
-    reductions of A and of [A | B] carry a transform."""
-    calls = {"hermite": 0, "transform": 0, "sweep": 0}
-    real_hermite, real_transform = polykernel._hermite, polykernel.hermite_with_transform
+    reductions of A and of [A | B] carry a transform, and neither is
+    back-reduced: kernels and solves read the echelon form."""
+    calls = {"hermite": 0, "transform": 0, "back": 0, "sweep": 0}
+    real_hermite, real_transform = polykernel._hermite, polykernel._with_transform
 
-    def counted_hermite(ring, cols, m):
+    def counted_hermite(ring, cols, m, back_reduce=True):
         calls["hermite"] += 1
-        return real_hermite(ring, cols, m)
+        calls["back"] += back_reduce and bool(cols) and len(cols[0]) > m
+        return real_hermite(ring, cols, m, back_reduce)
 
-    def counted_transform(g):
+    def counted_transform(g, back_reduce=False):
         calls["transform"] += 1
-        return real_transform(g)
+        return real_transform(g, back_reduce)
 
     def forbidden(a, bound):
         calls["sweep"] += 1
         return []
 
     monkeypatch.setattr(polykernel, "_hermite", counted_hermite)
-    monkeypatch.setattr(polykernel, "hermite_with_transform", counted_transform)
+    monkeypatch.setattr(polykernel, "_with_transform", counted_transform)
     monkeypatch.setattr(polykernel, "kernel_vectors_up_to", forbidden)
     ring = PolyRing(7)
     rng = random.Random(7)
@@ -324,15 +354,15 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     counts, dims = [], []
     for b in (random_matrix(ring, 5, 5, rng, max_degree=1),
               a @ random_matrix(ring, 2, 5, rng, max_degree=1)):
-        calls["hermite"] = calls["transform"] = 0
+        calls["hermite"] = calls["transform"] = calls["back"] = 0
         result, witness = kernel_pair(a, b)
-        counts.append((calls["hermite"], calls["transform"]))
+        counts.append((calls["hermite"], calls["transform"], calls["back"]))
         dims.append(result.ker_bar.dim)
         assert witness.section.ncols == result.ker_bar.dim
     assert dims[1] - dims[0] >= 3, dims
     assert calls["sweep"] == 0
     assert counts[0] == counts[1], counts
-    assert counts[0][0] <= 5 and counts[0][1] <= 2, counts
+    assert counts[0][0] <= 5 and counts[0][1] <= 2 and counts[0][2] == 0, counts
 
 
 def test_poly_kernel_requires_prime_coefficients():

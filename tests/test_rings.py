@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -110,6 +111,36 @@ def test_poly_divmod(a, b):
     q, r = ring.divmod(a, b)
     assert ring.add(ring.mul(q, b), r) == a
     assert r == ring.zero or len(r) < len(b)
+
+
+SUB_MUL_RINGS = [PolyRing(2), PolyRing(3), PolyRing(7), PolyRing(101), PolyRing(30)]
+
+
+@st.composite
+def sub_mul_cases(draw):
+    """(ring, a, q, b), half of them with a = q*b + r and deg r < deg(q*b),
+    so that the leading terms cancel."""
+    ring = draw(st.sampled_from(SUB_MUL_RINGS))
+    poly = st.lists(st.integers(0, ring.n - 1), max_size=6).map(ring.normalize)
+    a, q, b = draw(poly), draw(poly), draw(poly)
+    if draw(st.booleans()):
+        a = ring.add(ring.mul(q, b), a[:max(len(q) + len(b) - 2, 0)])
+    return ring, a, q, b
+
+
+@given(sub_mul_cases())
+def test_poly_sub_mul_is_sub_of_mul(case):
+    ring, a, q, b = case
+    for x, y, z in ((a, q, b), (a, ring.zero, b), (a, q, ring.zero), (ring.zero, q, b)):
+        assert ring.sub_mul(x, y, z) == ring.sub(x, ring.mul(y, z))
+        assert ring.contains(ring.sub_mul(x, y, z))
+
+
+@pytest.mark.parametrize("ring", [PrimeField(2), PrimeField(101), ModRing(30), ModRing(12)],
+                         ids=repr)
+def test_int_sub_mul_is_sub_of_mul(ring):
+    for a, q, b in itertools.product(range(min(ring.size, 13)), repeat=3):
+        assert ring.sub_mul(a, q, b) == ring.sub(a, ring.mul(q, b))
 
 
 def test_poly_degree_and_indeterminate():
