@@ -33,9 +33,9 @@ from .crt import kernel as matrix_kernel
 from .errors import ConsistencyViolatedError, KerpairError, MatrixParseError
 from .kernel import (
     Automorphism,
+    _identity_violations,
     _ker_bar,
     _quotient_ker_bar,
-    check_identities,
     check_witness,
     kernel_pair_oracle,
 )
@@ -477,12 +477,12 @@ def _oracle(c) -> list:
 
 
 def _automorphism_identities(c, a, b, r) -> list:
-    out = []
+    base, out = _ker_bar(a, b), []
     for _ in range(c.trials):
         psi1 = Automorphism(random_invertible(a.ring, a.ncols, c.rng))
         psi2 = Automorphism(random_invertible(a.ring, b.ncols, c.rng))
         psi = Automorphism(random_invertible(a.ring, a.nrows, c.rng))
-        out.extend(check_identities(a, b, psi1, psi2, psi))
+        out.extend(_identity_violations(a, b, base, psi1, psi2, psi))
     return out
 
 
@@ -544,6 +544,12 @@ def cmd_verify(args, out) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
+def _trials(text) -> int:
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
@@ -572,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "crt", "poly", "auto"])
     p.add_argument("--verify", action="store_true",
                    help="also run the invariant suite on this instance")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_trials, default=5)
     p.set_defaults(func=cmd_kernel_pair)
 
     p = sub.add_parser("idempotents", parents=[common],
@@ -605,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("name_a")
     p.add_argument("name_b")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_trials, default=5)
     p.set_defaults(func=cmd_verify)
     return parser
 

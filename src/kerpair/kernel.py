@@ -238,14 +238,16 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
 
 # -- brute-force oracle -----------------------------------------------------
 
+#: candidates per product in ``admissible_set``, which bounds its memory
+_ORACLE_BLOCK = 4096
 
 def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
     """All u with A x + B u = 0 solvable, by direct enumeration.
 
-    Over a field, solvability of each candidate is a rank test; over
-    square-free Z/m it is checked modulo every prime factor; over other
-    moduli x is enumerated too, since per-prime solvability can lie
-    there (4x = 2 has a solution mod 2 but none mod 4).
+    Over a field and square-free Z/m, solvability is checked modulo every
+    prime factor, for a block of candidates at once; over other moduli x
+    is enumerated too, since per-prime solvability can lie there (4x = 2
+    has a solution mod 2 but none mod 4).
     """
     _check_pair(a, b)
     ring = a.ring
@@ -256,31 +258,32 @@ def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
     if count > limit:
         raise OracleTooLargeError(f"{count} candidates exceed the {limit} guard")
 
+    candidates = itertools.product(range(ring.size), repeat=q2)
     if isinstance(ring, PrimeField) or ring.square_free:
         # A x = -B u is solvable exactly when, at every prime, the rows of
         # A's transform past its rank (the quotient map C) kill -B u, as
-        # in ``solve``; C (-B) is built once per prime, not per candidate
+        # in ``solve``; C (-B) is built once per prime, then applied to blocks of candidates
         split = None if isinstance(ring, PrimeField) else split_ring(ring)
         parts = [(a, b)] if split is None else [
             (split.reduce_matrix(a, i), split.reduce_matrix(b, i))
             for i in range(len(split.locals))]
         checks = [quotient_map(ai).matrix @ -bi for ai, bi in parts]
+        members = []
+        while us := list(itertools.islice(candidates, _ORACLE_BLOCK)):
+            images = [(c @ Matrix.from_columns(c.ring, us, q2)).columns() for c in checks]
+            members += [u for u, *cols in zip(us, *images) if not any(map(any, cols))]
+        return members
+    if count * ring.size ** q1 > limit:
+        raise OracleTooLargeError(
+            f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
+    xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
+    neg_b = -b
 
-        def member(u):
-            us = [u] if split is None else [split.reduce(u, i) for i in range(len(checks))]
-            return all(not any(c.matvec(ui)) for c, ui in zip(checks, us))
-    else:
-        if count * ring.size ** q1 > limit:
-            raise OracleTooLargeError(
-                f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
-        xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
-        neg_b = -b
+    def member(u):
+        target = neg_b.matvec(u)
+        return any(a.matvec(x) == target for x in xs)
 
-        def member(u):
-            target = neg_b.matvec(u)
-            return any(a.matvec(x) == target for x in xs)
-
-    return [u for u in itertools.product(range(ring.size), repeat=q2) if member(u)]
+    return [u for u in candidates if member(u)]
 
 
 def kernel_pair_oracle(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> Submodule:
@@ -333,10 +336,16 @@ def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
     _check_pair(a, b)
     if psi1.n != a.ncols or psi2.n != b.ncols or psi.n != a.nrows:
         raise DimensionMismatchError("automorphism sizes do not match A, B")
-    base = _ker_bar(a, b)
+    violations = _identity_violations(a, b, _ker_bar(a, b), psi1, psi2, psi)
+    if strict and violations:
+        raise IdentityViolatedError("; ".join(violations))
+    return violations
+
+
+def _identity_violations(a, b, base, psi1, psi2, psi) -> list:
+    """``check_identities`` against a given ``base`` = _ker_bar(a, b)."""
     twisted = _ker_bar(a, b @ psi2.matrix)
     violations = []
-
     if twisted != _apply_to_basis(psi2.inverse, base):
         violations.append("(vii) ker(A | B Psi2) != Psi2^-1 ker(A|B)")
     if _apply_to_basis(psi2.matrix, twisted) != base or twisted.dim != base.dim:
@@ -345,7 +354,4 @@ def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
         violations.append("(viii) ker(A Psi1 | B) != ker(A|B)")
     if _ker_bar(psi.matrix @ a, b) != _ker_bar(a, psi.inverse @ b):
         violations.append("(ix) ker(Psi A | B) != ker(A | Psi^-1 B)")
-
-    if strict and violations:
-        raise IdentityViolatedError("; ".join(violations))
     return violations

@@ -400,9 +400,17 @@ def random_matrix(ring, nrows, ncols, rng, max_degree=2) -> Matrix:
 
 
 def random_invertible(ring, n, rng) -> Matrix:
-    """Uniform-ish invertible matrix over a prime field by rejection."""
+    """Random invertible matrix over GF(p) as P L U (Randall 1993): P a
+    permutation, L unit lower and U upper triangular with nonzero diagonal,
+    so all of GL_n(GF(p)) can be drawn; one ``getrandbits`` per row, no rejection."""
     _require_field(ring)
-    while True:
-        cand = random_matrix(ring, n, n, rng)
-        if rref(cand).rank == n:
-            return cand
+    p, k = ring.p, max(ring.p, n).bit_length() + 32  # bits per draw: bias below 2**-32
+    mask = (1 << k) - 1
+    lower, upper = [], []
+    for i in range(n):
+        w = rng.getrandbits(k * (n + 1))
+        x = [(w >> s & mask) % p for s in range(0, k * n, k)]
+        # P: row i of L goes to a random one of the i + 1 places among rows 0..i
+        lower.insert((w >> k * n) % (i + 1), x[:i] + [1] + [0] * (n - 1 - i))
+        upper.append([0] * i + [1 + (w >> k * i & mask) % (p - 1)] + x[i + 1:])
+    return Matrix._canonical(ring, n, n, lower) @ Matrix._canonical(ring, n, n, upper)

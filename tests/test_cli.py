@@ -510,6 +510,65 @@ def test_verify_negative_control(gf_file, monkeypatch):
     assert "splitting-witness: FAIL" in text
 
 
+GOLDEN_IN = Path(__file__).resolve().parent / "golden" / "in"
+
+
+@pytest.mark.parametrize("name", ["gf5", "zmod30"])
+def test_verify_catches_a_wrong_automorphism_inverse(name, monkeypatch):
+    # Psi taken as its own inverse breaks (vii) and (ix) for the drawn Psi
+    from kerpair.kernel import Automorphism
+
+    real = Automorphism.__init__
+
+    def wrong_inverse(self, matrix):
+        real(self, matrix)
+        self.inverse = matrix
+
+    monkeypatch.setattr(Automorphism, "__init__", wrong_inverse)
+    code, text = run_cli(["verify", str(GOLDEN_IN / f"{name}.txt"), "A", "B"])
+    assert code == 1
+    assert "automorphism-identities: FAIL" in text
+
+
+def test_verify_catches_a_ker_bar_that_drops_a_column_of_b(monkeypatch):
+    # the preimage ker_bar with B's last column zeroed (the ambient kept)
+    import kerpair.cli as cli_mod
+    import kerpair.kernel as kernel_mod
+
+    real = kernel_mod._ker_bar
+
+    def dropped(a, b):
+        return real(a, Matrix(b.ring, b.nrows, b.ncols, [r[:-1] + (0,) for r in b.entries]))
+
+    monkeypatch.setattr(kernel_mod, "_ker_bar", dropped)
+    monkeypatch.setattr(cli_mod, "_ker_bar", dropped)
+    code, text = run_cli(["verify", str(GOLDEN_IN / "gf5.txt"), "A", "B"])
+    assert code == 1
+    assert "method-agreement: FAIL" in text
+    assert "automorphism-identities: FAIL" in text
+
+
+def test_verify_catches_a_lift_with_the_next_idempotent(monkeypatch):
+    from kerpair.rings import Split
+
+    def swapped(self, v, i):
+        e = self.idempotents[(i + 1) % len(self.idempotents)]
+        return tuple(self.ring.mul(e, self.ring.normalize(x)) for x in v)
+
+    monkeypatch.setattr(Split, "lift", swapped)
+    code, text = run_cli(["verify", str(GOLDEN_IN / "zmod30.txt"), "A", "B"])
+    assert code == 1
+    assert "base-change: FAIL" in text
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("command", [["verify"], ["kernel-pair", "--verify"]])
+def test_trials_below_one_is_a_usage_error(gf_file, command, trials, capsys):
+    code, text = run_cli([command[0], gf_file, "A", "B", *command[1:], "--trials", trials])
+    assert code == 2 and text == ""
+    assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_runs_one_projection_kernel_pair(gf_file, monkeypatch):
     # method-agreement compares against the checked kernel pair instead
     # of computing the projection presentation a second time

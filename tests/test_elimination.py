@@ -22,13 +22,20 @@ import kerpair.linalg as linalg
 from kerpair import (
     DimensionMismatchError,
     Matrix,
+    ModRing,
     PrimeField,
     Submodule,
     nullspace,
     rref,
     solve,
 )
-from kerpair.cli import _Instance, _method_agreement, parse_matrix_file
+from kerpair.cli import (
+    _automorphism_identities,
+    _each_local,
+    _Instance,
+    _method_agreement,
+    parse_matrix_file,
+)
 from kerpair.crt import kernel_pair
 from kerpair.kernel import Automorphism, check_identities
 from kerpair.linalg import random_invertible, solve_pair
@@ -393,6 +400,40 @@ def test_eliminations_per_identity_check(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert check_identities(a, b, *psis) == []
     assert len(calls) <= 17
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30)], ids=repr)
+def test_eliminations_per_automorphism_row(ring, monkeypatch):
+    """verify's automorphism row forms the base ker_bar once per local
+    ring (3 eliminations) and then 17 per trial: three Automorphism
+    rrefs, four twisted ker_bar and two images under Psi2.  The draws
+    run none (GF(7) 5x(3+4), 5 trials: 88, against 119 with the
+    rejection draws they replaced)."""
+    import kerpair.cli as cli_mod
+
+    rng = random.Random(5)
+    a = Matrix(ring, 5, 3, [[rng.randrange(ring.size) for _ in range(3)] for _ in range(5)])
+    b = Matrix(ring, 5, 4, [[rng.randrange(ring.size) for _ in range(4)] for _ in range(5)])
+    c = _Instance(a, b, random.Random(0), 5)
+    calls, drawing = [], []  # per elimination: whether a draw was running
+    real, real_draw = linalg._eliminate, cli_mod.random_invertible
+
+    def counted(*args):
+        calls.append(bool(drawing))
+        return real(*args)
+
+    def draw(*args):
+        drawing.append(1)
+        try:
+            return real_draw(*args)
+        finally:
+            drawing.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    monkeypatch.setattr(cli_mod, "random_invertible", draw)
+    assert _each_local(_automorphism_identities)(c) == []
+    assert len(calls) <= len(c.locals) * (3 + 17 * 5)
+    assert not any(calls)
 
 
 def test_eliminations_per_method_agreement(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,8 @@ from kerpair import (
     random_matrix,
     submodule_equal,
 )
+from kerpair.kernel import _check_pair
+from kerpair.rings import split_ring
 from conftest import pair_instances, span_elements
 
 GF2, GF3, GF5 = PrimeField(2), PrimeField(3), PrimeField(5)
@@ -262,6 +265,99 @@ def test_oracle_rejects_poly():
     ring = PolyRing(2)
     with pytest.raises(NotFiniteError):
         admissible_set(Matrix.zeros(ring, 1, 1), Matrix.zeros(ring, 1, 1))
+
+
+def ref_admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
+    """``admissible_set`` as it was before candidates went through one
+    product per prime: one reduction and one matvec per candidate and
+    prime.  Kept as the reference for that rewrite."""
+    _check_pair(a, b)
+    ring = a.ring
+    if isinstance(ring, PolyRing):
+        raise NotFiniteError("cannot enumerate GF(p)[z] vectors")
+    q1, q2 = a.ncols, b.ncols
+    count = ring.size ** q2
+    if count > limit:
+        raise OracleTooLargeError(f"{count} candidates exceed the {limit} guard")
+
+    if isinstance(ring, PrimeField) or ring.square_free:
+        # A x = -B u is solvable exactly when, at every prime, the rows of
+        # A's transform past its rank (the quotient map C) kill -B u, as
+        # in ``solve``; C (-B) is built once per prime, not per candidate
+        split = None if isinstance(ring, PrimeField) else split_ring(ring)
+        parts = [(a, b)] if split is None else [
+            (split.reduce_matrix(a, i), split.reduce_matrix(b, i))
+            for i in range(len(split.locals))]
+        checks = [quotient_map(ai).matrix @ -bi for ai, bi in parts]
+
+        def member(u):
+            us = [u] if split is None else [split.reduce(u, i) for i in range(len(checks))]
+            return all(not any(c.matvec(ui)) for c, ui in zip(checks, us))
+    else:
+        if count * ring.size ** q1 > limit:
+            raise OracleTooLargeError(
+                f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
+        xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
+        neg_b = -b
+
+        def member(u):
+            target = neg_b.matvec(u)
+            return any(a.matvec(x) == target for x in xs)
+
+    return [u for u in itertools.product(range(ring.size), repeat=q2) if member(u)]
+
+
+#: ring, largest q2 for it (at most a few hundred candidates)
+ORACLE_RINGS = [(GF2, 8), (GF3, 5), (GF5, 3), (PrimeField(7), 3),
+                (ModRing(6), 3), (ModRing(30), 2), (ModRing(210), 1)]
+
+
+def _oracle_cases(ring, q2max, rng):
+    """(A, B) pairs of random, zero and low-rank shapes, with 0 rows,
+    q1 = 0 and q2 = 0 among them."""
+    def draw(r, c):
+        return random_matrix(ring, r, c, rng)
+
+    shapes = [(3, 2, q2max), (4, 3, max(q2max - 1, 1)), (0, 2, q2max),
+              (3, 0, q2max), (3, 2, 0), (0, 0, 0)]
+    for rows, q1, q2 in shapes:
+        yield draw(rows, q1), draw(rows, q2)
+        yield Matrix.zeros(ring, rows, q1), draw(rows, q2)
+        yield draw(rows, q1), Matrix.zeros(ring, rows, q2)
+        yield draw(rows, 1) @ draw(1, q1), draw(rows, 1) @ draw(1, q2)  # rank <= 1
+        # Im B inside Im A, so every candidate is a member
+        yield draw(rows, q1), draw(rows, q1) @ draw(q1, q2) if q1 else draw(rows, q2)
+
+
+@pytest.mark.parametrize("ring, q2max", ORACLE_RINGS, ids=repr)
+def test_admissible_set_matches_reference(ring, q2max, monkeypatch):
+    # the same list, order included, in blocks of the default size and in
+    # blocks of 7 candidates, which most candidate sets span several of
+    import kerpair.kernel as kernel_mod
+
+    rng = random.Random(211)
+    for a, b in _oracle_cases(ring, q2max, rng):
+        expected = ref_admissible_set(a, b)
+        assert admissible_set(a, b) == expected
+        with monkeypatch.context() as m:
+            m.setattr(kernel_mod, "_ORACLE_BLOCK", 7)
+            assert admissible_set(a, b) == expected
+
+
+@pytest.mark.parametrize("ring", [GF5, ModRing(30)], ids=repr)
+def test_admissible_set_makes_no_matvec(ring, monkeypatch):
+    calls = []
+    real = Matrix.matvec
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Matrix, "matvec", counted)
+    rng = random.Random(223)
+    a, b = random_matrix(ring, 3, 2, rng), random_matrix(ring, 3, 2, rng)
+    assert admissible_set(a, b)
+    assert calls == []
 
 
 # -- automorphism identity suite ---------------------------------------------

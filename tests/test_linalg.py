@@ -236,6 +236,33 @@ def test_zero_dimensional_edges():
 
 def test_random_invertible_is_invertible():
     rng = random.Random(91)
-    for _ in range(50):
-        m = random_invertible(GF3, rng.randint(1, 4), rng)
-        assert rref(m).rank == m.nrows
+    for p in (2, 3, 101, 2 ** 61 - 1):
+        for n in range(9):
+            for _ in range(6):
+                m = random_invertible(PrimeField(p), n, rng)
+                assert (m.nrows, m.ncols) == (n, n)
+                assert rref(m).rank == n
+
+
+@pytest.mark.parametrize("ring, order", [(GF2, 6), (GF3, 48)], ids=repr)
+def test_random_invertible_reaches_all_of_gl2(ring, order):
+    # |GL_2(GF(p))| = (p^2 - 1)(p^2 - p); P L U draws reach every element
+    rng = random.Random(97)
+    assert len({random_invertible(ring, 2, rng) for _ in range(2000)}) == order
+
+
+def test_random_invertible_runs_no_elimination(monkeypatch):
+    from kerpair import linalg
+
+    calls = []
+    real = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    rng = random.Random(99)
+    for n in range(9):
+        random_invertible(GF5, n, rng)
+    assert calls == []
