@@ -33,7 +33,7 @@ from .crt import kernel as matrix_kernel
 from .errors import ConsistencyViolatedError, KerpairError, MatrixParseError
 from .kernel import (
     Automorphism,
-    _identity_violations,
+    _identity_check,
     _ker_bar,
     _quotient_ker_bar,
     check_witness,
@@ -90,7 +90,7 @@ def parse_matrix_file(text: str):
         if nrows < 0 or ncols < 0:
             raise MatrixParseError(f"negative dimensions in {lines[i]!r}", line=i + 1)
         i += 1
-        rows = []
+        rows = [] if ncols else [[] for _ in range(nrows)]  # n x 0 takes no row lines
         while len(rows) < nrows:
             if i >= len(lines):
                 raise MatrixParseError(
@@ -121,8 +121,8 @@ def format_matrix_file(ring, matrices) -> str:
     out = [f"ring {ring.kind} {ring.parameter}"]
     for name, m in matrices.items():
         out.append(f"matrix {name} {m.nrows} {m.ncols}")
-        for row in m.entries:
-            out.append(" ".join(ring.format(e) for e in row))
+        if m.ncols:
+            out += (" ".join(map(ring.format, row)) for row in m.entries)
     return "\n".join(out) + "\n"
 
 
@@ -329,7 +329,10 @@ def cmd_kernel_pair(args, out) -> int:
 
 
 def cmd_idempotents(args, out) -> int:
-    deco = crt.idempotents(args.modulus)
+    try:
+        deco = crt.idempotents(args.modulus)
+    except ValueError as exc:  # the modulus range check
+        raise MatrixParseError(str(exc))
     laws = deco.check_laws()
     doc = {"command": "idempotents", "modulus": deco.m,
            "primes": list(deco.primes), "idempotents": list(deco.idempotents),
@@ -477,12 +480,12 @@ def _oracle(c) -> list:
 
 
 def _automorphism_identities(c, a, b, r) -> list:
-    base, out = _ker_bar(a, b), []
+    check, out = _identity_check(a, b), []
     for _ in range(c.trials):
         psi1 = Automorphism(random_invertible(a.ring, a.ncols, c.rng))
         psi2 = Automorphism(random_invertible(a.ring, b.ncols, c.rng))
         psi = Automorphism(random_invertible(a.ring, a.nrows, c.rng))
-        out.extend(_identity_violations(a, b, base, psi1, psi2, psi))
+        out.extend(check(psi1, psi2, psi))
     return out
 
 
@@ -544,10 +547,13 @@ def cmd_verify(args, out) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
-def _trials(text) -> int:
-    if (n := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low):
+    """An argparse type: an int no smaller than ``low``."""
+    def integer(text) -> int:
+        if (n := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "crt", "poly", "auto"])
     p.add_argument("--verify", action="store_true",
                    help="also run the invariant suite on this instance")
-    p.add_argument("--trials", type=_trials, default=5)
+    p.add_argument("--trials", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_kernel_pair)
 
     p = sub.add_parser("idempotents", parents=[common],
@@ -601,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name_b")
     p.add_argument("--u-file", required=True, help="one input vector per line")
     p.add_argument("--x0-file", help="single-line initial state (fixed boundary)")
-    p.add_argument("--steps", type=int)
+    p.add_argument("--steps", type=_at_least(0))
     p.add_argument("--boundary", default="free",
                    choices=["free", "fixed", "periodic"])
     p.set_defaults(func=cmd_simulate)
@@ -611,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("name_a")
     p.add_argument("name_b")
-    p.add_argument("--trials", type=_trials, default=5)
+    p.add_argument("--trials", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -635,10 +641,7 @@ def main(argv=None, out=None) -> int:
         where = f" (line {exc.line})" if exc.line else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 2
-    except KerpairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (KerpairError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from .kernel import (
 from .linalg import Submodule, nullspace, solve
 from .matrix import Matrix
 from .polykernel import kernel_pair_poly, poly_kernel, poly_solve
-from .rings import ModRing, PolyRing, PrimeField, Split, is_local, split_ring
+from .rings import ModRing, PolyRing, PrimeField, ResidueRing, Split, is_local, split_ring
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ POLY = {"kernel": lambda a: poly_kernel(a).submodule, "solve": poly_solve,
 
 def _resolve(ring):
     """(local backend, Split or None) for a supported ring."""
-    backend = FIELD if isinstance(ring, (PrimeField, ModRing)) else POLY
+    backend = FIELD if isinstance(ring, ResidueRing) else POLY
     return backend, None if is_local(ring) else split_ring(ring)
 
 

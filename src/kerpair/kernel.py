@@ -139,9 +139,12 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
 
 
 def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
-    """ker(f1|f2) as f2^{-1}(Im f1): solve [M|B](lambda,u) = 0 over a
-    basis M of Im(A) and project to u.  Forms ker_bar alone."""
-    m = image(a).basis
+    """ker(f1|f2) as f2^{-1}(Im f1).  Forms ker_bar alone."""
+    return _preimage(image(a).basis, b)
+
+
+def _preimage(m: Matrix, b: Matrix) -> Submodule:
+    """f2^{-1}(Im f1) over a basis M of Im(A): ker [M|B] projected to u."""
     return _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
 
 
@@ -336,22 +339,30 @@ def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
     _check_pair(a, b)
     if psi1.n != a.ncols or psi2.n != b.ncols or psi.n != a.nrows:
         raise DimensionMismatchError("automorphism sizes do not match A, B")
-    violations = _identity_violations(a, b, _ker_bar(a, b), psi1, psi2, psi)
+    violations = _identity_check(a, b)(psi1, psi2, psi)
     if strict and violations:
         raise IdentityViolatedError("; ".join(violations))
     return violations
 
 
-def _identity_violations(a, b, base, psi1, psi2, psi) -> list:
-    """``check_identities`` against a given ``base`` = _ker_bar(a, b)."""
-    twisted = _ker_bar(a, b @ psi2.matrix)
-    violations = []
-    if twisted != _apply_to_basis(psi2.inverse, base):
-        violations.append("(vii) ker(A | B Psi2) != Psi2^-1 ker(A|B)")
-    if _apply_to_basis(psi2.matrix, twisted) != base or twisted.dim != base.dim:
-        violations.append("(vi) Psi2 does not carry ker(A | B Psi2) onto ker(A|B)")
-    if _ker_bar(a @ psi1.matrix, b) != base:
-        violations.append("(viii) ker(A Psi1 | B) != ker(A|B)")
-    if _ker_bar(psi.matrix @ a, b) != _ker_bar(a, psi.inverse @ b):
-        violations.append("(ix) ker(Psi A | B) != ker(A | Psi^-1 B)")
+def _identity_check(a, b):
+    """``check_identities`` for fixed A and B, as a function of (Psi1,
+    Psi2, Psi).  Im(A) is formed once for the base, (vi), (vii) and the
+    right side of (ix); (viii) and the left side of (ix) transform A."""
+    m = image(a).basis
+    base = _preimage(m, b)
+
+    def violations(psi1, psi2, psi) -> list:
+        twisted = _preimage(m, b @ psi2.matrix)
+        out = []
+        if twisted != _apply_to_basis(psi2.inverse, base):
+            out.append("(vii) ker(A | B Psi2) != Psi2^-1 ker(A|B)")
+        if _apply_to_basis(psi2.matrix, twisted) != base or twisted.dim != base.dim:
+            out.append("(vi) Psi2 does not carry ker(A | B Psi2) onto ker(A|B)")
+        if _ker_bar(a @ psi1.matrix, b) != base:
+            out.append("(viii) ker(A Psi1 | B) != ker(A|B)")
+        if _ker_bar(psi.matrix @ a, b) != _preimage(m, psi.inverse @ b):
+            out.append("(ix) ker(Psi A | B) != ker(A | Psi^-1 B)")
+        return out
+
     return violations

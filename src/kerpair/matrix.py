@@ -4,7 +4,7 @@ A matrix over a ring R with q columns and p rows represents the R-linear
 map R^q -> R^p whose columns are the images of the standard basis
 vectors.  Entries are canonical ring elements; all operations are pure.
 
-Over GF(p) and Z/m (``PrimeField``, ``ModRing``) products run on packed
+Over GF(p) and Z/m (``ResidueRing``) products run on packed
 rows, the packing that ``linalg._eliminate`` uses too: a vector of ints
 in [0, q) is one Python int with a byte-aligned big-endian slot per
 entry, the first entry most significant.  ``A @ X`` packs each row of X
@@ -22,7 +22,7 @@ from array import array
 from operator import mul
 
 from .errors import DimensionMismatchError, RingMismatchError
-from .rings import ModRing, PrimeField
+from .rings import ResidueRing
 
 #: ``array`` type codes by item size: slots of 1, 2, 4 and 8 bytes
 _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
@@ -32,7 +32,7 @@ _SWAP = sys.byteorder == "little"
 
 def _modulus(ring):
     """q for Z/q (GF(p) or Z/m), whose products run on packed rows; else None."""
-    return ring.size if isinstance(ring, (PrimeField, ModRing)) else None
+    return ring.q if isinstance(ring, ResidueRing) else None
 
 
 def _slot_bytes(p, k):

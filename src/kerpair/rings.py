@@ -11,6 +11,14 @@ Three families are supported:
 Elements are plain immutable Python values; a ring object interprets
 them.  Every operation returns the canonical representative, so equal
 elements always compare equal structurally.
+
+GF(p) and Z/m share one Z/q body, ``ResidueRing``: its element
+arithmetic, parsing and formatting run on the modulus ``q`` alone, and
+each subclass adds only its own units and inverses (the primality check
+and exact division for GF(p), the factorization and gcd inverses for
+Z/m).  All three families take their modulus through one range check,
+``2 <= q <= MAX_MODULUS``, and compare equal exactly when family and
+modulus agree; ``p``, ``m`` and ``n`` name the same ``q``.
 """
 
 import functools
@@ -129,87 +137,99 @@ def crt_combine(residues, primes, m: int) -> int:
     return sum(r * e for r, e in zip(residues, es)) % m
 
 
-class PrimeField:
+class _Ring:
+    """What every family shares: the modulus q in [2, MAX_MODULUS], read
+    as ``parameter``, and equality and hash keyed on (family, q), so
+    rings of different families never compare equal."""
+
+    __slots__ = ("q",)
+
+    is_field = False
+    parameter = property(lambda self: self.q)
+
+    def __init__(self, q: int):
+        if not 2 <= q <= MAX_MODULUS:
+            raise ValueError(f"modulus {q} out of range [2, {MAX_MODULUS}]")
+        self.q = q
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.q == self.q
+
+    def __hash__(self):
+        return hash((self.kind, self.q))
+
+
+class ResidueRing(_Ring):
+    """Z/q with elements the ints in [0, q): the arithmetic GF(p) and Z/m
+    share.  Subclasses add their units and inverses."""
+
+    __slots__ = ()
+
+    zero, one = 0, 1
+    size = property(lambda self: self.q)
+
+    def normalize(self, a) -> int:
+        return int(a) % self.q
+
+    def contains(self, a) -> bool:
+        return isinstance(a, int) and 0 <= a < self.q
+
+    def add(self, a, b):
+        return (a + b) % self.q
+
+    def sub(self, a, b):
+        return (a - b) % self.q
+
+    def neg(self, a):
+        return (-a) % self.q
+
+    def mul(self, a, b):
+        return (a * b) % self.q
+
+    def sub_mul(self, a, q, b):
+        return (a - q * b) % self.q
+
+    def elements(self):
+        return range(self.q)
+
+    def parse(self, text: str):
+        return int(text) % self.q
+
+    def format(self, a) -> str:
+        return str(a)
+
+
+class PrimeField(ResidueRing):
     """The field GF(p) for a prime p."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
 
     kind = "gf"
     is_field = True
-    parameter = property(lambda self: self.p)
+    p = property(lambda self: self.q)
 
     def __init__(self, p: int):
-        if not 2 <= p <= MAX_MODULUS:
-            raise ValueError(f"modulus {p} out of range")
+        super().__init__(p)
         if not is_prime(p):
             raise CompositeModulusError(f"{p} is not prime")
-        self.p = p
-
-    @property
-    def size(self):
-        return self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def normalize(self, a) -> int:
-        return int(a) % self.p
-
-    def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def sub_mul(self, a, q, b):
-        return (a - q * b) % self.p
 
     def is_unit(self, a) -> bool:
-        return a % self.p != 0
+        return a % self.q != 0
 
     def inv(self, a):
-        if a % self.p == 0:
-            raise NotInvertible(f"0 is not invertible in GF({self.p})")
-        return pow(a, -1, self.p)
+        if a % self.q == 0:
+            raise NotInvertible(f"0 is not invertible in GF({self.q})")
+        return pow(a, -1, self.q)
 
     def divmod(self, a, b):
         """Exact division in a field: (a * b^-1, 0)."""
         return self.mul(a, self.inv(b)), 0
 
-    def elements(self):
-        return range(self.p)
-
-    def parse(self, text: str):
-        return int(text) % self.p
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("gf", self.p))
-
     def __repr__(self):
-        return f"GF({self.p})"
+        return f"GF({self.q})"
 
 
-class ModRing:
+class ModRing(ResidueRing):
     """The modular ring Z/m.
 
     The distinct prime factors are recorded at construction.  ``square_free``
@@ -218,82 +238,31 @@ class ModRing:
     kernel machinery.
     """
 
-    __slots__ = ("m", "primes", "square_free")
+    __slots__ = ("primes", "square_free")
 
     kind = "zmod"
-    is_field = False
-    parameter = property(lambda self: self.m)
+    m = property(lambda self: self.q)
 
     def __init__(self, m: int):
-        if not 2 <= m <= MAX_MODULUS:
-            raise ValueError(f"modulus {m} out of range")
+        super().__init__(m)
         factors = factorize(m)
-        self.m = m
         self.primes = tuple(p for p, _ in factors)
         self.square_free = all(k == 1 for _, k in factors)
 
-    @property
-    def size(self):
-        return self.m
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def normalize(self, a) -> int:
-        return int(a) % self.m
-
-    def contains(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.m
-
-    def add(self, a, b):
-        return (a + b) % self.m
-
-    def sub(self, a, b):
-        return (a - b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
-
-    def mul(self, a, b):
-        return (a * b) % self.m
-
-    def sub_mul(self, a, q, b):
-        return (a - q * b) % self.m
-
     def is_unit(self, a) -> bool:
-        return math.gcd(a, self.m) == 1
+        return math.gcd(a, self.q) == 1
 
     def inv(self, a):
-        g = math.gcd(a, self.m)
+        g = math.gcd(a, self.q)
         if g != 1:
-            raise NotInvertible(f"{a} is a zero divisor mod {self.m}", witness=g)
-        return pow(a, -1, self.m)
-
-    def elements(self):
-        return range(self.m)
-
-    def parse(self, text: str):
-        return int(text) % self.m
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("zmod", self.m))
+            raise NotInvertible(f"{a} is a zero divisor mod {self.q}", witness=g)
+        return pow(a, -1, self.q)
 
     def __repr__(self):
-        return f"Z/{self.m}"
+        return f"Z/{self.q}"
 
 
-class PolyRing:
+class PolyRing(_Ring):
     """Univariate polynomials over Z/n in the indeterminate z.
 
     Elements are coefficient tuples, constant term first, trailing zeros
@@ -303,43 +272,26 @@ class PolyRing:
     reduction can split the ring into its GF(p)[z] factors.
     """
 
-    __slots__ = ("n", "coeff_primes", "coeff_square_free")
+    __slots__ = ("coeff_primes", "coeff_square_free")
 
     kind = "polygf"
-    is_field = False
-    parameter = property(lambda self: self.n)
+    n = property(lambda self: self.q)
+    size = None
+    zero, one = (), (1,)
+    z = (0, 1)  # the indeterminate
 
     def __init__(self, n: int):
-        if not 2 <= n <= MAX_MODULUS:
-            raise ValueError(f"coefficient modulus {n} out of range")
+        super().__init__(n)
         factors = factorize(n)
-        self.n = n
         self.coeff_primes = tuple(p for p, _ in factors)
         self.coeff_square_free = all(k == 1 for _, k in factors)
 
     @property
     def coeff_is_prime(self) -> bool:
-        return len(self.coeff_primes) == 1 and self.coeff_primes[0] == self.n
-
-    @property
-    def size(self):
-        return None
-
-    @property
-    def zero(self):
-        return ()
-
-    @property
-    def one(self):
-        return (1,)
-
-    @property
-    def z(self):
-        """The indeterminate."""
-        return (0, 1)
+        return len(self.coeff_primes) == 1 and self.coeff_primes[0] == self.q
 
     def normalize(self, coeffs) -> tuple:
-        cs = [int(c) % self.n for c in coeffs]
+        cs = [int(c) % self.q for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return tuple(cs)
@@ -347,7 +299,7 @@ class PolyRing:
     def contains(self, a) -> bool:
         return (
             isinstance(a, tuple)
-            and all(isinstance(c, int) and 0 <= c < self.n for c in a)
+            and all(isinstance(c, int) and 0 <= c < self.q for c in a)
             and (not a or a[-1] != 0)
         )
 
@@ -363,14 +315,14 @@ class PolyRing:
             a, b = b, a
         cs = list(a)
         for i, c in enumerate(b):
-            cs[i] = (cs[i] + c) % self.n
+            cs[i] = (cs[i] + c) % self.q
         return self.normalize(cs)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return tuple((-c) % self.n for c in a)
+        return tuple((-c) % self.q for c in a)
 
     def mul(self, a, b):
         if not a or not b:
@@ -379,7 +331,7 @@ class PolyRing:
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
-                    cs[i + j] = (cs[i + j] + ca * cb) % self.n
+                    cs[i + j] = (cs[i + j] + ca * cb) % self.q
         return self.normalize(cs)
 
     def sub_mul(self, a, q, b):
@@ -396,24 +348,24 @@ class PolyRing:
         return self.normalize(tuple(c * x for x in a))
 
     def is_unit(self, a) -> bool:
-        return len(a) == 1 and math.gcd(a[0], self.n) == 1
+        return len(a) == 1 and math.gcd(a[0], self.q) == 1
 
     def inv(self, a):
         if len(a) != 1:
             raise NotInvertible(
                 "only nonzero constants are invertible in a polynomial ring"
             )
-        g = math.gcd(a[0], self.n)
+        g = math.gcd(a[0], self.q)
         if g != 1:
-            raise NotInvertible(f"constant {a[0]} is a zero divisor mod {self.n}",
+            raise NotInvertible(f"constant {a[0]} is a zero divisor mod {self.q}",
                                 witness=g)
-        return (pow(a[0], -1, self.n),)
+        return (pow(a[0], -1, self.q),)
 
     def divmod(self, a, b):
         """Quotient and remainder of a by b; b's leading coefficient must be a unit."""
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        n, lead_inv = self.n, pow(b[-1], -1, self.n)
+        n, lead_inv = self.q, pow(b[-1], -1, self.q)
         rem, q = list(a), [0] * max(0, len(a) - len(b) + 1)
         for shift in reversed(range(len(q))):
             # the top term of rem cancels; the rest are reduced at the end
@@ -426,7 +378,7 @@ class PolyRing:
         """Scale ``a`` by the inverse of its leading coefficient."""
         if not a:
             return a
-        return self.scale(pow(a[-1], -1, self.n), a)
+        return self.scale(pow(a[-1], -1, self.q), a)
 
     def elements(self):
         raise NotFiniteError("polynomial rings are infinite")
@@ -447,14 +399,8 @@ class PolyRing:
             return "[0]"
         return "[" + ",".join(str(c) for c in a) + "]"
 
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("polygf", self.n))
-
     def __repr__(self):
-        return f"(Z/{self.n})[z]" if not self.coeff_is_prime else f"GF({self.n})[z]"
+        return f"(Z/{self.q})[z]" if not self.coeff_is_prime else f"GF({self.q})[z]"
 
 
 _KINDS = {"gf": PrimeField, "zmod": ModRing, "polygf": PolyRing}
@@ -485,19 +431,18 @@ class Split:
 
     def __init__(self, ring):
         if isinstance(ring, ModRing):
-            m, self.primes, square_free, local = (ring.m, ring.primes,
-                                                  ring.square_free, PrimeField)
+            self.primes, square_free, local = ring.primes, ring.square_free, PrimeField
         else:
-            m, self.primes, square_free, local = (ring.n, ring.coeff_primes,
-                                                  ring.coeff_square_free, PolyRing)
+            self.primes, square_free, local = (ring.coeff_primes,
+                                               ring.coeff_square_free, PolyRing)
         if not square_free:
-            bad = next(p for p, k in factorize(m) if k > 1)
+            bad = next(p for p, k in factorize(ring.q) if k > 1)
             what = "modulus" if local is PrimeField else "coefficient modulus"
             raise NotSquareFreeError(
                 f"{ring!r} does not decompose; {what} is not square-free", prime=bad)
         self.ring = ring
         self.locals = tuple(local(p) for p in self.primes)
-        es = crt_idempotents(self.primes, m)
+        es = crt_idempotents(self.primes, ring.q)
         self.idempotents = es if local is PrimeField else tuple((e,) for e in es)
 
     def reduce(self, v, i) -> tuple:

@@ -120,12 +120,37 @@ def test_parse_poly_file():
     assert mats["A"].entries == (((0, 1),),)
 
 
+EMPTY_FILE = """\
+ring gf 5
+matrix A 2 0
+matrix B 0 2
+matrix C 2 3
+1 2 3
+4 0 1
+"""
+
+
 def test_format_round_trip():
-    for text in (GF_FILE, ZMOD_FILE, POLY_FILE):
+    for text in (GF_FILE, ZMOD_FILE, POLY_FILE, EMPTY_FILE):
         ring, mats = parse_matrix_file(text)
         printed = format_matrix_file(ring, mats)
         ring2, mats2 = parse_matrix_file(printed)
         assert ring2 == ring and mats2 == mats
+    mats = parse_matrix_file(EMPTY_FILE)[1]
+    assert (mats["A"].nrows, mats["A"].ncols) == (2, 0)
+    assert (mats["B"].nrows, mats["B"].ncols) == (0, 2)
+    assert format_matrix_file(PrimeField(5), mats) == EMPTY_FILE
+
+
+def test_kernel_pair_with_an_empty_a_is_ker_b(tmp_path):
+    # A: R^0 -> R^2 has image 0, so ker(A|C) = ker C
+    p = tmp_path / "empty.txt"
+    p.write_text(EMPTY_FILE)
+    code, pair = run_json(["kernel-pair", str(p), "A", "C"])
+    assert code == 0
+    code, ker = run_json(["kernel", str(p), "C"])
+    assert code == 0
+    assert pair["ker_bar"] == ker["kernel"] and ker["kernel"]["rank"] == 1
 
 
 @pytest.mark.parametrize("text,line", [
@@ -340,6 +365,13 @@ def test_idempotents_square_factor():
     assert code == 2
 
 
+@pytest.mark.parametrize("modulus", ["1", "0", str(2**62 + 1)])
+def test_idempotents_modulus_out_of_range(modulus, capsys):
+    code, text = run_cli(["idempotents", modulus])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith(f"error: modulus {modulus} out of range")
+
+
 # -- member command -----------------------------------------------------------
 
 
@@ -433,15 +465,21 @@ def test_simulate_free(tmp_path):
     assert doc["states"] == [["0", "0"], ["1", "0"], ["0", "1"]]
 
 
-def test_simulate_steps_truncates(tmp_path):
+def test_simulate_steps_truncates(tmp_path, capsys):
     sys_file, u_file = cli_system(tmp_path)
-    code, doc = run_json(["simulate", sys_file, "A", "B",
-                          "--u-file", u_file, "--steps", "1"])
-    assert code == 0
-    assert doc["horizon"] == 1
+    for steps in (1, 0):
+        code, doc = run_json(["simulate", sys_file, "A", "B",
+                              "--u-file", u_file, "--steps", str(steps)])
+        assert code == 0
+        assert doc["horizon"] == steps and len(doc["inputs"]) == steps
     code, _ = run_cli(["simulate", sys_file, "A", "B",
                        "--u-file", u_file, "--steps", "5"])
     assert code == 2
+    capsys.readouterr()
+    code, text = run_cli(["simulate", sys_file, "A", "B",
+                          "--u-file", u_file, "--steps", "-1"])
+    assert code == 2 and text == ""
+    assert "--steps: must be at least 0" in capsys.readouterr().err
 
 
 def test_simulate_fixed_x0(tmp_path):

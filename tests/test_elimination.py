@@ -384,7 +384,8 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
 
 def test_eliminations_per_identity_check(monkeypatch):
     """check_identities computes five ker_bar presentations, each one
-    image and one nullspace; ker_f1 and the joint kernel are not formed."""
+    nullspace, over three images (A once, A Psi1, Psi A); ker_f1 and the
+    joint kernel are not formed."""
     rng = random.Random(5)
     ring = PrimeField(7)
     a = Matrix(ring, 5, 3, [[rng.randrange(7) for _ in range(3)] for _ in range(5)])
@@ -404,11 +405,13 @@ def test_eliminations_per_identity_check(monkeypatch):
 
 @pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30)], ids=repr)
 def test_eliminations_per_automorphism_row(ring, monkeypatch):
-    """verify's automorphism row forms the base ker_bar once per local
-    ring (3 eliminations) and then 17 per trial: three Automorphism
-    rrefs, four twisted ker_bar and two images under Psi2.  The draws
-    run none (GF(7) 5x(3+4), 5 trials: 88, against 119 with the
-    rejection draws they replaced)."""
+    """verify's automorphism row forms Im(A) and the base ker_bar once
+    per local ring (3 eliminations) and then 15 per trial: three
+    Automorphism rrefs, four twisted ker_bar (two of them over that
+    Im(A), two forming the images of A Psi1 and Psi A) and two images
+    under Psi2.  The draws run none (GF(7) 5x(3+4), 5 trials: 78,
+    against 88 with an image of A per twisted ker_bar and 119 with the
+    rejection draws)."""
     import kerpair.cli as cli_mod
 
     rng = random.Random(5)
@@ -432,7 +435,7 @@ def test_eliminations_per_automorphism_row(ring, monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     monkeypatch.setattr(cli_mod, "random_invertible", draw)
     assert _each_local(_automorphism_identities)(c) == []
-    assert len(calls) <= len(c.locals) * (3 + 17 * 5)
+    assert len(calls) <= len(c.locals) * (3 + 15 * 5)
     assert not any(calls)
 
 

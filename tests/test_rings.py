@@ -182,6 +182,41 @@ def test_make_ring_dispatch():
         make_ring("qq", 1)
 
 
+FAMILIES = {"gf": 2**62 - 57, "zmod": 2**62, "polygf": 2**62}
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_modulus_range_check(kind):
+    for q in (2, FAMILIES[kind]):
+        assert make_ring(kind, q).parameter == q
+    for q in (1, 2**62 + 1):
+        with pytest.raises(ValueError, match=f"modulus {q} out of range"):
+            make_ring(kind, q)
+
+
+def test_families_never_compare_equal():
+    rings = [PrimeField(5), ModRing(5), PolyRing(5)]
+    for r, s in itertools.combinations(rings, 2):
+        assert r != s and s != r
+    assert len(set(rings)) == 3
+    assert rings == [PrimeField(5), ModRing(5), PolyRing(5)]
+    assert [(repr(r), r.kind, r.is_field, r.size, r.parameter) for r in rings] == [
+        ("GF(5)", "gf", True, 5, 5), ("Z/5", "zmod", False, 5, 5),
+        ("GF(5)[z]", "polygf", False, None, 5)]
+    assert (rings[0].p, rings[1].m, rings[2].n) == (5, 5, 5)
+
+
+def test_split_ring_caches_each_family_apart():
+    from kerpair.rings import split_ring
+
+    zmod, poly = split_ring(ModRing(30)), split_ring(PolyRing(30))
+    assert zmod is not poly
+    assert zmod.ring == ModRing(30) and poly.ring == PolyRing(30)
+    assert zmod.locals == (PrimeField(2), PrimeField(3), PrimeField(5))
+    assert poly.locals == (PolyRing(2), PolyRing(3), PolyRing(5))
+    assert split_ring(ModRing(30)) is zmod and split_ring(PolyRing(30)) is poly
+
+
 def test_is_prime_and_factorize():
     assert [n for n in range(2, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
