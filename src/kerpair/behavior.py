@@ -10,7 +10,7 @@ to the polynomial one through the pencil zI - A over GF(p)[z].
 import itertools
 from dataclasses import dataclass, field
 
-from .crt import solver
+from .crt import solve
 from .errors import (
     ConsistencyViolatedError,
     DimensionMismatchError,
@@ -129,7 +129,7 @@ def _solve_ring(m: Matrix, rhs, limit: int = 10 ** 6):
     """Some x with M x = rhs, or None."""
     ring = m.ring
     if not isinstance(ring, ModRing) or ring.square_free:
-        return solver(m)(rhs)
+        return solve(m, rhs)
     # repeated prime factors: per-prime solvability can lie, enumerate
     if ring.m ** m.ncols > limit:
         raise OracleTooLargeError(

@@ -49,66 +49,64 @@ DEFAULT_SEED = 1729
 # -- file formats ------------------------------------------------------------
 
 
+def _records(text: str):
+    """(line number, raw line, tokens) for every line of ``text`` that is
+    neither blank nor a comment; the text is split into lines once."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, raw, tokens
+
+
+def _entries(ring, tokens, expect: int, what: str, line=None) -> tuple:
+    """The ``expect`` ring elements in ``tokens``; ``what`` names the row
+    or vector in the count error, ``line`` is the error's line."""
+    if len(tokens) != expect:
+        raise MatrixParseError(f"{what} has {len(tokens)} entries, expected {expect}",
+                               line=line)
+    try:
+        return tuple(map(ring.parse, tokens))
+    except ValueError as exc:
+        raise MatrixParseError(str(exc), line=line)
+
+
 def parse_matrix_file(text: str):
     """(ring, {name: Matrix}) from the matrix file format."""
     ring = None
     matrices = {}
-    lines = text.splitlines()
-    i = 0
-
-    def significant(k):
-        s = lines[k].strip()
-        return s and not s.startswith("#")
-
-    while i < len(lines):
-        if not significant(i):
-            i += 1
-            continue
-        tokens = lines[i].split()
+    records = _records(text)
+    for lineno, raw, tokens in records:
         if ring is None:
             if tokens[0] != "ring" or len(tokens) != 3:
                 raise MatrixParseError(
-                    f"expected 'ring <gf|zmod|polygf> <parameter>', got {lines[i]!r}",
-                    line=i + 1)
+                    f"expected 'ring <gf|zmod|polygf> <parameter>', got {raw!r}",
+                    line=lineno)
             try:
                 ring = make_ring(tokens[1], int(tokens[2]))
             except (ValueError, KerpairError) as exc:
-                raise MatrixParseError(str(exc), line=i + 1)
-            i += 1
+                raise MatrixParseError(str(exc), line=lineno)
             continue
         if tokens[0] != "matrix" or len(tokens) != 4:
             raise MatrixParseError(
-                f"expected 'matrix <NAME> <rows> <cols>', got {lines[i]!r}",
-                line=i + 1)
+                f"expected 'matrix <NAME> <rows> <cols>', got {raw!r}", line=lineno)
         name = tokens[1]
         if name in matrices:
-            raise MatrixParseError(f"duplicate matrix name {name!r}", line=i + 1)
+            raise MatrixParseError(f"duplicate matrix name {name!r}", line=lineno)
         try:
             nrows, ncols = int(tokens[2]), int(tokens[3])
         except ValueError:
-            raise MatrixParseError(f"bad dimensions in {lines[i]!r}", line=i + 1)
+            raise MatrixParseError(f"bad dimensions in {raw!r}", line=lineno)
         if nrows < 0 or ncols < 0:
-            raise MatrixParseError(f"negative dimensions in {lines[i]!r}", line=i + 1)
-        i += 1
-        rows = [] if ncols else [[] for _ in range(nrows)]  # n x 0 takes no row lines
+            raise MatrixParseError(f"negative dimensions in {raw!r}", line=lineno)
+        rows = [] if ncols else [()] * nrows  # n x 0 takes no row lines
+        what = f"matrix {name!r} row"
         while len(rows) < nrows:
-            if i >= len(lines):
+            if (record := next(records, None)) is None:
                 raise MatrixParseError(
                     f"matrix {name!r} ends after {len(rows)} of {nrows} rows",
-                    line=len(lines))
-            if not significant(i):
-                i += 1
-                continue
-            entries = lines[i].split()
-            if len(entries) != ncols:
-                raise MatrixParseError(
-                    f"matrix {name!r} row has {len(entries)} entries, expected {ncols}",
-                    line=i + 1)
-            try:
-                rows.append(list(map(ring.parse, entries)))
-            except ValueError as exc:
-                raise MatrixParseError(str(exc), line=i + 1)
-            i += 1
+                    line=len(text.splitlines()))
+            lineno, _, tokens = record
+            rows.append(_entries(ring, tokens, ncols, what, lineno))
         # ring.parse returns canonical elements, so nothing is re-normalized
         matrices[name] = Matrix._canonical(ring, nrows, ncols, rows)
     if ring is None:
@@ -144,32 +142,13 @@ def split_vector_text(text: str) -> list:
 
 
 def parse_vector(ring, text: str, expect: int) -> tuple:
-    parts = split_vector_text(text)
-    if len(parts) != expect:
-        raise MatrixParseError(f"vector has {len(parts)} entries, expected {expect}")
-    try:
-        return tuple(ring.parse(p) for p in parts)
-    except ValueError as exc:
-        raise MatrixParseError(str(exc))
+    return _entries(ring, split_vector_text(text), expect, "vector")
 
 
 def parse_vector_file(ring, path: str, width: int) -> list:
     """One vector per line, whitespace-separated ring elements."""
-    vectors = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        entries = s.split()
-        if len(entries) != width:
-            raise MatrixParseError(
-                f"vector line has {len(entries)} entries, expected {width}",
-                line=lineno)
-        try:
-            vectors.append(tuple(ring.parse(e) for e in entries))
-        except ValueError as exc:
-            raise MatrixParseError(str(exc), line=lineno)
-    return vectors
+    return [_entries(ring, tokens, width, "vector line", lineno)
+            for lineno, _, tokens in _records(Path(path).read_text())]
 
 
 # -- result documents --------------------------------------------------------
@@ -200,20 +179,12 @@ def _submodule_doc(sub: Submodule) -> dict:
     return doc
 
 
-def _ring_doc(ring) -> str:
-    return repr(ring)
-
-
 def _print_submodule(label: str, sub: Submodule, out):
-    if sub.kind in ("field", "poly"):
-        print(f"{label}: rank {sub.basis.ncols} in ambient {sub.ambient}", file=out)
-        for c in sub.basis.columns():
-            print("  [" + ", ".join(sub.ring.format(e) for e in c) + "]", file=out)
-    else:
-        print(f"{label}: per-prime ranks {list(sub.rank)} in ambient {sub.ambient}",
-              file=out)
-        for g in sub.generators():
-            print("  [" + ", ".join(sub.ring.format(e) for e in g) + "]", file=out)
+    rank = f"rank {sub.rank}" if sub.kind in ("field", "poly") else \
+        f"per-prime ranks {list(sub.rank)}"
+    print(f"{label}: {rank} in ambient {sub.ambient}", file=out)
+    for g in sub.generators():
+        print("  [" + ", ".join(map(sub.ring.format, g)) + "]", file=out)
 
 
 def _dumps(doc, indent="\n") -> str:
@@ -253,10 +224,10 @@ def cmd_kernel(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a = _named(matrices, args.name)
     sub = matrix_kernel(a)
-    doc = {"command": "kernel", "ring": _ring_doc(ring), "matrix": args.name,
+    doc = {"command": "kernel", "ring": repr(ring), "matrix": args.name,
            "kernel": _submodule_doc(sub), "status": "ok", "exit_code": 0}
     if not args.json:
-        print(f"ring {_ring_doc(ring)}", file=out)
+        print(f"ring {ring!r}", file=out)
         _print_submodule(f"ker({args.name})", sub, out)
     return _emit(doc, args, out)
 
@@ -284,7 +255,7 @@ def cmd_kernel_pair(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     result, witness = crt.kernel_pair(a, b, method=args.method)
-    doc = {"command": "kernel-pair", "ring": _ring_doc(ring),
+    doc = {"command": "kernel-pair", "ring": repr(ring),
            "matrices": [args.name_a, args.name_b], "method": args.method,
            "ker_bar": _submodule_doc(result.ker_bar),
            "notes": _degenerate_notes(a, b),
@@ -310,7 +281,7 @@ def cmd_kernel_pair(args, out) -> int:
             doc["exit_code"] = 1
 
     if not args.json:
-        print(f"ring {_ring_doc(ring)}", file=out)
+        print(f"ring {ring!r}", file=out)
         for note in doc["notes"]:
             print(f"note: {note}", file=out)
         _print_submodule(f"ker({args.name_a}|{args.name_b})", result.ker_bar, out)
@@ -355,8 +326,8 @@ def cmd_member(args, out) -> int:
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     u = parse_vector(ring, args.vector, b.ncols)
     bu = b.matvec(u)
-    x = crt.solver(a)(tuple(map(ring.neg, bu)))
-    doc = {"command": "member", "ring": _ring_doc(ring),
+    x = crt.solve(a, tuple(map(ring.neg, bu)))
+    doc = {"command": "member", "ring": repr(ring),
            "vector": _vector_doc(ring, u), "member": x is not None}
     if x is not None:
         residual = tuple(ring.add(p, q) for p, q in zip(a.matvec(x), bu))
@@ -379,6 +350,9 @@ def cmd_member(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
+    if args.x0_file is not None and args.boundary != "fixed":
+        raise MatrixParseError(
+            f"--x0-file needs --boundary fixed, got --boundary {args.boundary}")
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     sys_pair = SystemPair(a=a, b=b)
@@ -396,7 +370,7 @@ def cmd_simulate(args, out) -> int:
         x0 = states[0]
     query = AdmissibleInputQuery(inputs=tuple(inputs), boundary=args.boundary, x0=x0)
     traj = admissible(sys_pair, query)
-    doc = {"command": "simulate", "ring": _ring_doc(ring),
+    doc = {"command": "simulate", "ring": repr(ring),
            "boundary": args.boundary, "horizon": len(inputs)}
     if traj is None:
         doc.update(status="not-admissible", exit_code=1)
@@ -534,7 +508,7 @@ def cmd_verify(args, out) -> int:
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
     checks = verify_instance(a, b, trials=args.trials, seed=args.seed, collect=True)
     failed = [(n, v) for n, v in checks if v]
-    doc = {"command": "verify", "ring": _ring_doc(ring),
+    doc = {"command": "verify", "ring": repr(ring),
            "checks": [{"check": n, "violations": v} for n, v in checks],
            "status": "ok" if not failed else "violation",
            "exit_code": 0 if not failed else 1}
@@ -606,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name_a")
     p.add_argument("name_b")
     p.add_argument("--u-file", required=True, help="one input vector per line")
-    p.add_argument("--x0-file", help="single-line initial state (fixed boundary)")
+    p.add_argument("--x0-file", help="single-line initial state (--boundary fixed only)")
     p.add_argument("--steps", type=_at_least(0))
     p.add_argument("--boundary", default="free",
                    choices=["free", "fixed", "periodic"])

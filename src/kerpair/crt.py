@@ -24,7 +24,8 @@ from .kernel import (
     kernel_pair_oracle,
     kernel_pair_projection,
 )
-from .linalg import Submodule, nullspace, solve
+from . import linalg
+from .linalg import Submodule, nullspace
 from .matrix import Matrix
 from .polykernel import kernel_pair_poly, poly_kernel, poly_solve
 from .rings import ModRing, PolyRing, PrimeField, ResidueRing, Split, is_local, split_ring
@@ -67,7 +68,7 @@ def idempotents(m: int) -> CrtDecomposition:
 # What each local ring answers with.  Module-level dicts, like
 # kernel._METHODS, because bench/spans.py patches a traced function
 # wherever a module or a module-level dict holds it.
-FIELD = {"kernel": nullspace, "solve": solve, "kernel_pair": kernel_pair_projection}
+FIELD = {"kernel": nullspace, "solve": linalg.solve, "kernel_pair": kernel_pair_projection}
 POLY = {"kernel": lambda a: poly_kernel(a).submodule, "solve": poly_solve,
         "kernel_pair": kernel_pair_poly}
 
@@ -87,25 +88,15 @@ def kernel(a: Matrix) -> Submodule:
         backend["kernel"](split.reduce_matrix(a, i)) for i in range(len(split.locals))])
 
 
-def solver(a: Matrix):
-    """A function c -> some x with A x = c, or None, over any supported
-    ring; over a split ring A is reduced once, not per right-hand side."""
+def solve(a: Matrix, c) -> tuple | None:
+    """Some x with A x = c, or None, over any supported ring; over a split
+    ring A x = c is solved mod each prime, and the local x glued."""
     backend, split = _resolve(a.ring)
-    local_solve = backend["solve"]
     if split is None:
-        return lambda c: local_solve(a, c)
-    reduced = [split.reduce_matrix(a, i) for i in range(len(split.locals))]
-
-    def solve_split(c):
-        parts = []
-        for i, ai in enumerate(reduced):
-            x = local_solve(ai, split.reduce(c, i))
-            if x is None:
-                return None
-            parts.append(x)
-        return split.glue(parts)
-
-    return solve_split
+        return backend["solve"](a, c)
+    parts = [backend["solve"](split.reduce_matrix(a, i), split.reduce(c, i))
+             for i in range(len(split.locals))]
+    return None if None in parts else split.glue(parts)
 
 
 _FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
@@ -160,8 +151,7 @@ class LocalGlobalResult(KernelPairResult):
         return tuple(r.ker_bar for r in self.local_results)
 
 
-def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair,
-                     method: str = "projection") -> LocalGlobalResult:
+def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair) -> LocalGlobalResult:
     """Reduce A and B at every prime of ``split``, solve each with
     ``local_pair`` (returning a KernelPairResult) and glue."""
     _check_pair(a, b)
@@ -173,7 +163,7 @@ def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair,
 
     return LocalGlobalResult(
         ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),
-        ker_bar=glue("ker_bar", b.ncols), method=method,
+        ker_bar=glue("ker_bar", b.ncols), method="projection",
         primes=split.primes, local_results=locals_)
 
 
@@ -182,13 +172,13 @@ def reduce_matrix(a: Matrix, i: int) -> Matrix:
     return split_ring(a.ring).reduce_matrix(a, i)
 
 
-def kernel_pair_crt(a: Matrix, b: Matrix, method: str = "projection") -> LocalGlobalResult:
-    """ker(f1|f2) over square-free Z/m by per-prime solves and gluing;
-    ``method`` picks the field method run at each prime."""
+def kernel_pair_crt(a: Matrix, b: Matrix) -> LocalGlobalResult:
+    """ker(f1|f2) over square-free Z/m, glued from the projection kernel
+    pair at each prime."""
     if not isinstance(a.ring, ModRing):
         raise RingMismatchError(f"expected a Z/m matrix, got one over {a.ring!r}")
     return glue_kernel_pair(a, b, split_ring(a.ring),
-                            lambda x, y: kernel_pair_field(x, y, method), method)
+                            lambda x, y: kernel_pair_projection(x, y)[0])
 
 
 def base_change_violations(result: LocalGlobalResult, i: int) -> list:

@@ -32,7 +32,7 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
-from .linalg import Submodule, image, nullspace, rref, solve_pair
+from .linalg import Submodule, _solve_columns, image, nullspace, rref
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField, split_ring
 
@@ -105,12 +105,13 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve_pair):
+def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve):
     """ker(f1|f2) as the u-projection of the joint kernel ``ker_pair`` of
     [A|B], with the split-sequence witness: one section column (x_u, u)
-    per ker_bar basis vector u, where ``solve_pair(A, B, us)`` gives every
-    x_u with A x_u = -B u at once.  The kernels and ``solve_pair`` are the
-    local ring's: elimination over GF(p), Hermite over GF(p)[z]."""
+    per ker_bar basis vector u, where ``solve(cs)`` gives, for the columns
+    c = -B u of one product, every x_u with A x_u = c at once.  The kernels
+    and ``solve`` are the local ring's: elimination over GF(p), Hermite
+    over GF(p)[z]."""
     ring = a.ring
     q1, q2 = a.ncols, b.ncols
     ker_bar = _project_u(ker_pair, q1, q2)
@@ -118,9 +119,8 @@ def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve_pair):
                               ker_bar=ker_bar, method="projection")
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
-    us = ker_bar.basis.columns()
-    cols = []
-    for u, x in zip(us, solve_pair(a, b, us)):
+    us, cols = ker_bar.basis, []
+    for u, x in zip(us.columns(), solve((-(b @ us)).columns())):
         if x is None:
             raise ConsistencyViolatedError(
                 f"no section witness for {u!r}, although it lies in ker(f1|f2)")
@@ -135,7 +135,8 @@ def kernel_pair_projection(a: Matrix, b: Matrix):
     Returns the result together with the split-sequence witness.
     """
     _check_pair(a, b)
-    return _projection_pair(a, b, nullspace(a), nullspace(hstack(a, b)), solve_pair)
+    return _projection_pair(a, b, nullspace(a), nullspace(hstack(a, b)),
+                            lambda cs: _solve_columns(a, cs))
 
 
 def _ker_bar(a: Matrix, b: Matrix) -> Submodule:

@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields and canonical submodule presentations.
 
-Every elimination over GF(p) -- ``rref``, ``nullspace``, ``solve``,
-``solve_pair`` and ``Submodule.from_columns`` -- is one Gauss-Jordan
-run of ``_eliminate`` on packed rows, the packing that ``matrix`` defines
+Every elimination over GF(p) -- ``rref``, ``nullspace``, ``solve``
+and ``Submodule.from_columns`` -- is one Gauss-Jordan run of
+``_eliminate`` on packed rows, the packing that ``matrix`` defines
 and uses for products too.  A row is one Python int with a byte-aligned
 slot per column, column 0 in the most significant slot, so a row
 operation is one big-int multiply-add.  Row operations do not
@@ -188,19 +188,6 @@ def solve(a: Matrix, b) -> tuple | None:
     if len(b) != a.nrows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.nrows} rows")
     return _solve_columns(a, [tuple(a.ring.normalize(x) for x in b)])[0]
-
-
-def solve_pair(a: Matrix, b: Matrix, us) -> list:
-    """For each u in ``us``, the x that ``solve(a, -B u)`` returns, or
-    None; every system is answered by one elimination of
-    [A | -B u_1 ... -B u_k], formed with one product B [u_1 ... u_k]."""
-    _require_field(a.ring)
-    for u in us:
-        if len(u) != b.ncols:
-            raise DimensionMismatchError(f"vector length {len(u)} != {b.ncols} columns")
-    p = a.ring.p
-    bu = b @ Matrix.from_columns(a.ring, us, nrows=b.ncols)
-    return _solve_columns(a, [tuple(-x % p for x in col) for col in bu.columns()])
 
 
 def image(a: Matrix) -> "Submodule":

@@ -255,8 +255,7 @@ def _kernel_pair_reduced(a, b, reduction):
     """kernel_pair_poly(a, b) given the reduction _with_transform(a)."""
     return _projection_pair(a, b, _kernel_of(reduction).submodule,
                             poly_kernel(hstack(a, b)).submodule,
-                            lambda a, b, us: _solve_columns(
-                                reduction, [tuple(map(b.ring.neg, b.matvec(u))) for u in us]))
+                            lambda cs: _solve_columns(reduction, cs))
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

@@ -23,6 +23,7 @@ from kerpair.cli import (
     matrix_kernel,
     parse_matrix_file,
     parse_vector,
+    parse_vector_file,
     split_vector_text,
 )
 
@@ -170,6 +171,91 @@ def test_parse_errors_carry_line_numbers(text, line):
         parse_matrix_file(text)
     if line:
         assert exc.value.line == line
+
+
+RING_HEADER = "expected 'ring <gf|zmod|polygf> <parameter>', got "
+MATRIX_HEADER = "expected 'matrix <NAME> <rows> <cols>', got "
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("", "empty matrix file", 1),
+    ("# only a comment\n\n", "empty matrix file", 1),
+    ("matrix A 1 1\n1\n", RING_HEADER + "'matrix A 1 1'", 1),
+    ("ring gf\n", RING_HEADER + "'ring gf'", 1),
+    ("# c\n  ring  gf 5 7 \n", RING_HEADER + "'  ring  gf 5 7 '", 2),
+    ("ring gf 4\n", "4 is not prime", 1),
+    ("ring weird 5\n", "unknown ring kind 'weird'; expected one of "
+                       "['gf', 'polygf', 'zmod']", 1),
+    ("ring gf x\n", "invalid literal for int() with base 10: 'x'", 1),
+    ("ring gf 2\nstray\n", MATRIX_HEADER + "'stray'", 2),
+    ("ring gf 2\n\n matrix  A  1\t\n1\n", MATRIX_HEADER + "' matrix  A  1\\t'", 3),
+    ("ring gf 2\nmatrix A one 1\n1\n", "bad dimensions in 'matrix A one 1'", 2),
+    ("ring gf 2\nmatrix  A 1 -2\n", "negative dimensions in 'matrix  A 1 -2'", 2),
+    ("ring gf 2\nmatrix A 1 1\n1\n\nmatrix A 1 1\n1\n", "duplicate matrix name 'A'", 5),
+    ("ring gf 2\nmatrix A 1 1\n1 1\n", "matrix 'A' row has 2 entries, expected 1", 3),
+    ("ring gf 2\n# c\nmatrix A 2 2\n1 0\n\n# row two\n0 1 1\n",
+     "matrix 'A' row has 3 entries, expected 2", 7),
+    ("ring gf 2\nmatrix A 1 1\nx\n", "invalid literal for int() with base 10: 'x'", 3),
+    ("ring polygf 3\nmatrix A 1 1\n[1,2\n", "unterminated coefficient list: '[1,2'", 3),
+    ("ring gf 2\nmatrix A 1 1\n", "matrix 'A' ends after 0 of 1 rows", 2),
+    ("ring gf 2\nmatrix A 2 1\n1\n", "matrix 'A' ends after 1 of 2 rows", 3),
+    ("ring gf 2\nmatrix A 2 1\n1\n\n# trailing\n", "matrix 'A' ends after 1 of 2 rows", 5),
+])
+def test_matrix_file_error_messages(text, message, line):
+    """Every matrix-file error, its text and its 1-based line; a header
+    error echoes the raw line, inner and outer whitespace included."""
+    with pytest.raises(MatrixParseError) as exc:
+        parse_matrix_file(text)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("text,message,line", [
+    ("1 2\n\n# c\n1\n", "vector line has 1 entries, expected 2", 4),
+    ("1 2 3\n", "vector line has 3 entries, expected 2", 1),
+    ("1 2\n 3  x \n", "invalid literal for int() with base 10: 'x'", 2),
+])
+def test_vector_file_error_messages(tmp_path, text, message, line):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError) as exc:
+        parse_vector_file(PrimeField(5), str(path), 2)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1,2,3", "vector has 3 entries, expected 2"),
+    ("1", "vector has 1 entries, expected 2"),
+    ("1,x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_vector_argument_error_messages(text, message):
+    with pytest.raises(MatrixParseError) as exc:
+        parse_vector(PrimeField(5), text, 2)
+    assert (str(exc.value), exc.value.line) == (message, None)
+
+
+def test_parse_errors_reach_stderr_verbatim(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("ring gf 5\nmatrix A 1 1\n1\nmatrix B 1 2\n1\n")
+    assert run_cli(["kernel", str(path), "A"])[0] == 2
+    assert capsys.readouterr().err == \
+        "error: matrix 'B' row has 1 entries, expected 2 (line 5)\n"
+    path.write_text("ring gf 5\nmatrix A 1 1\n1\nmatrix B 1 2\n1 0\n")
+    assert run_cli(["member", str(path), "A", "B", "1"])[0] == 2
+    assert capsys.readouterr().err == "error: vector has 1 entries, expected 2\n"
+
+
+def test_matrix_file_is_split_into_lines_once():
+    calls = []
+
+    class Text(str):
+        def splitlines(self, *args):
+            calls.append(args)
+            return super().splitlines(*args)
+
+    rows = "\n".join("1 0 1" for _ in range(300))
+    _, mats = parse_matrix_file(Text(f"ring gf 2\n# 300 rows\nmatrix A 300 3\n{rows}\n"))
+    assert mats["A"].nrows == 300
+    assert len(calls) == 1
 
 
 def test_negative_dimensions_name_the_line(tmp_path, capsys):
@@ -490,6 +576,18 @@ def test_simulate_fixed_x0(tmp_path):
                           "--x0-file", str(x0_file), "--boundary", "fixed"])
     assert code == 0
     assert doc["states"][0] == ["1", "1"]
+
+
+@pytest.mark.parametrize("boundary", ["free", "periodic"])
+def test_x0_file_without_a_fixed_boundary_is_a_usage_error(tmp_path, capsys, boundary):
+    sys_file, u_file = cli_system(tmp_path)
+    x0_file = tmp_path / "x0.txt"
+    x0_file.write_text("1 1\n")
+    code, text = run_cli(["simulate", sys_file, "A", "B", "--u-file", u_file,
+                          "--x0-file", str(x0_file), "--boundary", boundary])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        f"error: --x0-file needs --boundary fixed, got --boundary {boundary}\n")
 
 
 def test_simulate_periodic_not_admissible(tmp_path):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kerpair.crt as crt
 from kerpair import (
     KernelPairResult,
     Matrix,
@@ -207,3 +208,20 @@ def test_kernel_of_pair_single_dispatch(ring, family_entry, inapplicable):
             assert kernel_of_pair(a, b, method="oracle").ker_bar == result.ker_bar
         with pytest.raises(MethodUnavailableError):
             kernel_of_pair(a, b, method=inapplicable)
+
+
+# A = [[6, 10 z], [0, 15]] reduces to [[0, 0], [0, 1]] mod 2, [[0, z], [0, 0]]
+# mod 3 and [[1, 0], [0, 0]] mod 5, with z = 1 over Z/30: A x = c is solvable
+# mod 2 when 2 | c_1, mod 3 when 3 | c_2 and z | c_1, mod 5 when 5 | c_2.
+# ``unsolvable`` fails mod 2 only, mod 3 only, mod 5 only.
+@pytest.mark.parametrize("ring, a, solvable, unsolvable", [
+    (ModRing(30), [[6, 10], [0, 15]], (4, 0), [(3, 15), (4, 5), (4, 3)]),
+    (PolyRing(30), [[(6,), (0, 10)], [(), (15,)]], ((0, 4), (15, 15)),
+     [((3,), (15,)), ((4,), (5,)), ((0, 4), (3,))]),
+], ids=["Z/30", "(Z/30)[z]"])
+def test_solve_glues_the_local_solutions(ring, a, solvable, unsolvable):
+    a = Matrix(ring, 2, 2, a)
+    x = crt.solve(a, solvable)
+    assert x is not None and a.matvec(x) == solvable
+    for c in unsolvable:
+        assert crt.solve(a, c) is None

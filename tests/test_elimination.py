@@ -1,7 +1,8 @@
 """The field elimination kernel against reference Gauss-Jordan eliminations.
 
-``rref``, ``nullspace``, ``solve``, ``solve_pair`` and
-``Submodule.from_columns`` all run on one private elimination,
+``rref``, ``nullspace``, ``solve``, the section solves of
+``kernel_pair_projection`` and ``Submodule.from_columns`` all run on
+one private elimination,
 ``linalg._eliminate``, over packed rows.  Two references are kept here
 unchanged: ``ref_rref``, the ring-method elimination those functions
 replaced, and ``ref_eliminate``, the elimination on lists of ints with
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 import kerpair.linalg as linalg
 from kerpair import (
-    DimensionMismatchError,
     Matrix,
     ModRing,
     PrimeField,
@@ -37,8 +37,8 @@ from kerpair.cli import (
     parse_matrix_file,
 )
 from kerpair.crt import kernel_pair
-from kerpair.kernel import Automorphism, check_identities
-from kerpair.linalg import random_invertible, solve_pair
+from kerpair.kernel import Automorphism, check_identities, kernel_pair_projection
+from kerpair.linalg import random_invertible
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 #: slots of 1 to 17 bytes; entries of 2**16 + 1 need 3 bytes; the largest
@@ -210,6 +210,12 @@ def systems(draw):
     return a, b, us
 
 
+def section_solves(a, b):
+    """(u, x_u) for each section column (x_u, u) of kernel_pair_projection."""
+    _, witness = kernel_pair_projection(a, b)
+    return [(col[a.ncols:], col[:a.ncols]) for col in witness.section.columns()]
+
+
 # -- exact agreement --------------------------------------------------------
 
 
@@ -237,7 +243,8 @@ def test_solve_matches_reference(system, data):
     v = data.draw(st.lists(st.integers(0, p - 1), min_size=a.ncols, max_size=a.ncols))
     for rhs in (a.matvec(tuple(v)), b.matvec(us[0]) if us else (0,) * a.nrows):
         assert solve(a, rhs) == ref_solve(a, rhs)
-    assert solve_pair(a, b, us) == [ref_solve(a, (-b).matvec(u)) for u in us]
+    for u, x in section_solves(a, b):
+        assert x == ref_solve(a, (-b).matvec(u))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -249,15 +256,9 @@ def test_zero_rows(p, ncols):
     assert nullspace(a) == Submodule.full(a.ring, ncols)
     assert solve(a, ()) == (0,) * ncols
     b = Matrix(PrimeField(p), 0, 2, [])
-    assert solve_pair(a, b, [(1, 0), (0, 1)]) == [(0,) * ncols] * 2
-
-
-@pytest.mark.parametrize("u", [(1,), (1, 0, 0)])
-def test_solve_pair_rejects_a_wrong_length_input(u):
-    ring = PrimeField(5)
-    a, b = Matrix.identity(ring, 2), Matrix.identity(ring, 2)
-    with pytest.raises(DimensionMismatchError):
-        solve_pair(a, b, [(1, 0), u])
+    pairs = section_solves(a, b)
+    assert [u for u, _ in pairs] == [(1, 0), (0, 1)]
+    assert [x for _, x in pairs] == [ref_solve(a, ())] * 2 == [(0,) * ncols] * 2
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -56,7 +56,7 @@ def run(tmp_path, text, argv):
 
 
 def test_missing_field_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(kerpair.kernel, "solve_pair", lambda a, b, us: [None] * len(us))
+    monkeypatch.setattr(kerpair.kernel, "_solve_columns", lambda a, cs: [None] * len(cs))
     a = Matrix(PrimeField(5), 2, 1, [[1], [0]])
     b = Matrix(PrimeField(5), 2, 2, [[1, 0], [0, 0]])
     with pytest.raises(ConsistencyViolatedError):
@@ -91,7 +91,7 @@ def test_member_witness_that_does_not_verify(tmp_path, monkeypatch):
 
 
 def test_periodic_solve_that_does_not_close(monkeypatch):
-    monkeypatch.setattr(kerpair.behavior, "solver", lambda m: lambda c: (1,))
+    monkeypatch.setattr(kerpair.behavior, "solve", lambda m, c: (1,))
     sys = SystemPair(Matrix(PrimeField(5), 1, 1, [[0]]), Matrix(PrimeField(5), 1, 1, [[1]]))
     with pytest.raises(ConsistencyViolatedError):
         admissible(sys, AdmissibleInputQuery(((3,),), "periodic"))
