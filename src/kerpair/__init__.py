@@ -28,11 +28,13 @@ from .crt import (
     CrtDecomposition,
     LocalGlobalResult,
     base_change_check,
+    base_change_check as poly_base_change_check,
     idempotents,
     kernel_pair_crt,
     ker_bar_count,
     quotient_form_crt,
     reduce_matrix,
+    reduce_matrix as reduce_poly_matrix,
 )
 from .errors import (
     AmbientMismatchError,
@@ -89,13 +91,11 @@ from .polykernel import (
     kernel_vectors_up_to,
     kernel_via_unimodular,
     matrix_degree,
-    poly_base_change_check,
     poly_kernel,
     poly_member,
     poly_solve,
     random_unimodular,
     rank_over_fractions,
-    reduce_poly_matrix,
     vector_degree,
 )
 from .rings import ModRing, PolyRing, PrimeField, make_ring

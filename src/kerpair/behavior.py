@@ -7,8 +7,7 @@ periodic of order T); codeword_consistency ties the dynamical picture
 to the polynomial one through the pencil zI - A over GF(p)[z].
 """
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crt import solve
 from .errors import (
@@ -18,6 +17,7 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
+from .kernel import ORACLE_LIMIT, _solve_by_enumeration
 from .matrix import Matrix, hstack
 from .rings import ModRing, PolyRing, PrimeField
 
@@ -78,20 +78,11 @@ class AdmissibleInputQuery:
     x0: tuple | None = None        # fixed mode only
 
 
-def _normalize_inputs(sys: SystemPair, inputs) -> tuple:
-    ring = sys.ring
-    out = []
-    for u in inputs:
-        if len(u) != sys.m:
-            raise DimensionMismatchError(f"input length {len(u)} != {sys.m}")
-        out.append(tuple(ring.normalize(e) for e in u))
-    return tuple(out)
-
-
-def _normalize_state(sys: SystemPair, x) -> tuple:
-    if len(x) != sys.n:
-        raise DimensionMismatchError(f"state length {len(x)} != {sys.n}")
-    return tuple(sys.ring.normalize(e) for e in x)
+def _normalize(ring, v, size: int, what: str) -> tuple:
+    """``v`` over ``ring``, checked to have ``size`` entries."""
+    if len(v) != size:
+        raise DimensionMismatchError(f"{what} length {len(v)} != {size}")
+    return tuple(ring.normalize(e) for e in v)
 
 
 def _run(ab: Matrix, x, inputs) -> Trajectory:
@@ -105,10 +96,9 @@ def _run(ab: Matrix, x, inputs) -> Trajectory:
 
 
 def simulate(sys: SystemPair, x0, inputs) -> Trajectory:
-    """Forward recursion from x0; the trajectory invariant holds by
-    construction."""
-    x = _normalize_state(sys, x0)
-    return _run(hstack(sys.a, sys.b), x, _normalize_inputs(sys, inputs))
+    """Forward recursion from x0, the ``fixed`` boundary of ``admissible``;
+    the trajectory invariant holds by construction."""
+    return admissible(sys, AdmissibleInputQuery(tuple(inputs), "fixed", x0))
 
 
 def _matrix_power(a: Matrix, k: int) -> Matrix:
@@ -125,20 +115,16 @@ def _matrix_power(a: Matrix, k: int) -> Matrix:
     return out
 
 
-def _solve_ring(m: Matrix, rhs, limit: int = 10 ** 6):
+def _solve_ring(m: Matrix, rhs):
     """Some x with M x = rhs, or None."""
     ring = m.ring
     if not isinstance(ring, ModRing) or ring.square_free:
         return solve(m, rhs)
     # repeated prime factors: per-prime solvability can lie, enumerate
-    if ring.m ** m.ncols > limit:
+    if ring.m ** m.ncols > ORACLE_LIMIT:
         raise OracleTooLargeError(
-            f"{ring.m ** m.ncols} state candidates exceed the {limit} guard")
-    rhs = tuple(ring.normalize(e) for e in rhs)
-    for x in itertools.product(range(ring.m), repeat=m.ncols):
-        if m.matvec(x) == rhs:
-            return x
-    return None
+            f"{ring.m ** m.ncols} state candidates exceed the {ORACLE_LIMIT} guard")
+    return _solve_by_enumeration(m, tuple(map(ring.normalize, rhs)))
 
 
 def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | None:
@@ -150,8 +136,8 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
       zero-initial response; then x(T) = x(0) exactly.  A^T comes from
       square-and-multiply, about log2 T + popcount(T) products.
     """
-    inputs = _normalize_inputs(sys, query.inputs)
     ring = sys.ring
+    inputs = tuple(_normalize(ring, u, sys.m, "input") for u in query.inputs)
     ab = hstack(sys.a, sys.b)
     zero_state = (ring.zero,) * sys.n
     if query.boundary == "free":
@@ -159,7 +145,7 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     if query.boundary == "fixed":
         if query.x0 is None:
             raise DimensionMismatchError("fixed boundary requires x0")
-        return _run(ab, _normalize_state(sys, query.x0), inputs)
+        return _run(ab, _normalize(ring, query.x0, sys.n, "state"), inputs)
     if query.boundary != "periodic":
         raise ValueError(f"unknown boundary mode {query.boundary!r}")
     t = len(inputs)
@@ -168,7 +154,7 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     x0 = _solve_ring(m, tuple(ring.neg(e) for e in forced))
     if x0 is None:
         return None
-    traj = _run(ab, _normalize_state(sys, x0), inputs)
+    traj = _run(ab, _normalize(ring, x0, sys.n, "state"), inputs)
     if traj.states[-1] != traj.states[0]:
         raise ConsistencyViolatedError("the periodic solve did not close the loop")
     return traj
@@ -190,12 +176,12 @@ def pencil(sys: SystemPair) -> tuple:
     return Matrix(ring, n, n, entries), bp
 
 
-def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
+def codeword_consistency(sys: SystemPair) -> list:
     """Cross-check the dynamical and polynomial pictures; returns violations.
 
     Over GF(p)[z] the pencil zI - A has zero kernel (monic determinant),
     the joint and relative kernels have equal rank, and every admissible
-    u(z) of degree <= degree_bound must admit a polynomial state witness.
+    u(z) of degree <= 4 must admit a polynomial state witness.
     Witness existence is linear in u, so checking it on the z-shifted
     Hermite generators covers every bounded-degree member; the reduction
     of zI - A that the kernel pair reads answers all of them.
@@ -215,7 +201,7 @@ def codeword_consistency(sys: SystemPair, degree_bound: int = 4) -> list:
             f"rank ker(zI-A | B) = {result.ker_bar.rank}")
     shifts = []
     for j, col in enumerate(result.ker_bar.basis.columns()):
-        top = max(degree_bound - max(len(e) - 1 for e in col if e), 0)
+        top = max(4 - max(len(e) - 1 for e in col if e), 0)
         for k in range(top + 1):
             shifted = tuple(ring.mul(e, (0,) * k + (1,)) for e in col)
             shifts.append((j, k, b_poly.matvec(shifted)))

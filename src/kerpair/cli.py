@@ -272,8 +272,7 @@ def cmd_kernel_pair(args, out) -> int:
 
     violations = []
     if args.verify:
-        violations = verify_instance(a, b, trials=args.trials,
-                                     seed=args.seed, collect=True)
+        violations = verify_instance(a, b, trials=args.trials, seed=args.seed)
         doc["verify"] = [{"check": name, "violations": v} for name, v in violations]
         violations = [(n, v) for n, v in violations if v]
         if violations:
@@ -491,22 +490,20 @@ _CHECKS = (
 )
 
 
-def verify_instance(a: Matrix, b: Matrix, trials: int = 5,
-                    seed: int = DEFAULT_SEED, collect: bool = False) -> list:
+def verify_instance(a: Matrix, b: Matrix, trials: int = 5, seed: int = DEFAULT_SEED) -> list:
     """Run the full invariant suite on one instance.
 
     Returns [(check name, violations)] for every row of _CHECKS that
-    applies to the ring; with collect=False the empty checks are dropped.
+    applies to the ring, passing rows included (with no violations).
     """
     c = _Instance(a, b, random.Random(seed), trials)
-    checks = [(name, run(c)) for name, applies, run in _CHECKS if applies(c)]
-    return checks if collect else [(n, v) for n, v in checks if v]
+    return [(name, run(c)) for name, applies, run in _CHECKS if applies(c)]
 
 
 def cmd_verify(args, out) -> int:
     ring, matrices = parse_matrix_file(Path(args.file).read_text())
     a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
-    checks = verify_instance(a, b, trials=args.trials, seed=args.seed, collect=True)
+    checks = verify_instance(a, b, trials=args.trials, seed=args.seed)
     failed = [(n, v) for n, v in checks if v]
     doc = {"command": "verify", "ring": repr(ring),
            "checks": [{"check": n, "violations": v} for n, v in checks],

@@ -1,22 +1,23 @@
 """The one ring dispatch, and local-global kernels over square-free rings.
 
 Every question -- the kernel of a matrix, the kernel of a pair, a
-solution of A x = c -- is answered by a local backend: elimination over
-GF(p) or Hermite reduction over GF(p)[z].  Z/m and (Z/m)[z] with
-m = p1 ... ps square-free are products of those local rings
-(``rings.Split``), so there the question is reduced mod each p_i,
-answered locally and glued back through the structural idempotents e_i:
+solution of A x = c -- is answered by a local backend (``FIELD`` or
+``POLY``): elimination over GF(p) or Hermite reduction over GF(p)[z].
+Z/m and (Z/m)[z] with m = p1 ... ps square-free are products of those
+local rings (``rings.Split``), so there ``_per_prime`` reduces the
+question mod each p_i and answers it locally, and the answers are glued
+back through the structural idempotents e_i:
 
     ker(A|B) = e_1 ker(A mod p1 | B mod p1) + ... + e_s ker(A mod ps | B mod ps)
 
 Flat base change makes the reduction of the glued kernel mod p_i land
 back on the local kernel, which base_change_check verifies on concrete
-instances.
+instances over Z/m and (Z/m)[z].
 """
 
 from dataclasses import dataclass
 
-from .errors import BaseChangeViolatedError, MethodUnavailableError, RingMismatchError
+from .errors import MethodUnavailableError, RingMismatchError
 from .kernel import (
     KernelPairResult,
     _check_pair,
@@ -73,29 +74,35 @@ POLY = {"kernel": lambda a: poly_kernel(a).submodule, "solve": poly_solve,
         "kernel_pair": kernel_pair_poly}
 
 
-def _resolve(ring):
-    """(local backend, Split or None) for a supported ring."""
-    backend = FIELD if isinstance(ring, ResidueRing) else POLY
-    return backend, None if is_local(ring) else split_ring(ring)
+def _local(question: str, ring):
+    """The local backend's answer to ``question`` over ``ring``'s family."""
+    return (FIELD if isinstance(ring, ResidueRing) else POLY)[question]
+
+
+def _per_prime(question: str, split: Split, *args) -> list:
+    """The local answer to ``question`` at every prime of ``split``, with
+    each Matrix argument reduced through ``reduce_matrix`` and each vector
+    through ``reduce``: the one loop over a split ring's primes."""
+    answer = _local(question, split.ring)
+    return [answer(*(split.reduce_matrix(x, i) if isinstance(x, Matrix) else split.reduce(x, i)
+                     for x in args))
+            for i in range(len(split.primes))]
 
 
 def kernel(a: Matrix) -> Submodule:
     """Canonical kernel {v : A v = 0} over any supported ring."""
-    backend, split = _resolve(a.ring)
-    if split is None:
-        return backend["kernel"](a)
-    return Submodule.glued(a.ring, a.ncols, [
-        backend["kernel"](split.reduce_matrix(a, i)) for i in range(len(split.locals))])
+    if is_local(a.ring):
+        return _local("kernel", a.ring)(a)
+    return Submodule.glued(a.ring, a.ncols, _per_prime("kernel", split_ring(a.ring), a))
 
 
 def solve(a: Matrix, c) -> tuple | None:
     """Some x with A x = c, or None, over any supported ring; over a split
     ring A x = c is solved mod each prime, and the local x glued."""
-    backend, split = _resolve(a.ring)
-    if split is None:
-        return backend["solve"](a, c)
-    parts = [backend["solve"](split.reduce_matrix(a, i), split.reduce(c, i))
-             for i in range(len(split.locals))]
+    if is_local(a.ring):
+        return _local("solve", a.ring)(a, c)
+    split = split_ring(a.ring)
+    parts = _per_prime("solve", split, a, c)
     return None if None in parts else split.glue(parts)
 
 
@@ -125,10 +132,9 @@ def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):
         hint = "auto or oracle" if isinstance(ring, ModRing) else "auto"
         raise MethodUnavailableError(
             f"method {method!r} does not apply to {ring!r}; use {hint}")
-    backend, split = _resolve(ring)
-    if split is None:
-        return backend["kernel_pair"](a, b)
-    return glue_kernel_pair(a, b, split, lambda x, y: backend["kernel_pair"](x, y)[0]), None
+    if is_local(ring):
+        return _local("kernel_pair", ring)(a, b)
+    return glue_kernel_pair(a, b), None
 
 
 # -- local-global results ----------------------------------------------------
@@ -151,12 +157,14 @@ class LocalGlobalResult(KernelPairResult):
         return tuple(r.ker_bar for r in self.local_results)
 
 
-def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair) -> LocalGlobalResult:
-    """Reduce A and B at every prime of ``split``, solve each with
-    ``local_pair`` (returning a KernelPairResult) and glue."""
+def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
+    """ker(f1|f2) over Z/m or (Z/m)[z], m square-free (a prime m gives one
+    local result): the local kernel pair at every prime, glued."""
     _check_pair(a, b)
-    locals_ = tuple(local_pair(split.reduce_matrix(a, i), split.reduce_matrix(b, i))
-                    for i in range(len(split.locals)))
+    if isinstance(a.ring, PrimeField):
+        raise RingMismatchError(f"expected a Z/m or (Z/m)[z] matrix, got one over {a.ring!r}")
+    split = split_ring(a.ring)
+    locals_ = tuple(r for r, _ in _per_prime("kernel_pair", split, a, b))
 
     def glue(part, ambient):
         return Submodule.glued(a.ring, ambient, [getattr(r, part) for r in locals_])
@@ -168,7 +176,8 @@ def glue_kernel_pair(a: Matrix, b: Matrix, split: Split, local_pair) -> LocalGlo
 
 
 def reduce_matrix(a: Matrix, i: int) -> Matrix:
-    """Entrywise reduction of a Z/m matrix modulo its i-th prime."""
+    """Entrywise reduction of a Z/m or (Z/m)[z] matrix modulo its i-th
+    prime (coefficientwise for polynomials)."""
     return split_ring(a.ring).reduce_matrix(a, i)
 
 
@@ -177,8 +186,7 @@ def kernel_pair_crt(a: Matrix, b: Matrix) -> LocalGlobalResult:
     pair at each prime."""
     if not isinstance(a.ring, ModRing):
         raise RingMismatchError(f"expected a Z/m matrix, got one over {a.ring!r}")
-    return glue_kernel_pair(a, b, split_ring(a.ring),
-                            lambda x, y: kernel_pair_projection(x, y)[0])
+    return glue_kernel_pair(a, b)
 
 
 def base_change_violations(result: LocalGlobalResult, i: int) -> list:
@@ -200,14 +208,10 @@ def base_change_violations(result: LocalGlobalResult, i: int) -> list:
     return []
 
 
-def base_change_check(a: Matrix, b: Matrix, i: int, strict: bool = False) -> list:
-    """base_change_violations of kernel_pair_crt(a, b) at the i-th prime;
-    with strict=True a violation raises BaseChangeViolatedError."""
-    violations = base_change_violations(kernel_pair_crt(a, b), i)
-    if strict and violations:
-        raise BaseChangeViolatedError(
-            f"A={a!r} B={b!r} prime={a.ring.primes[i]}: " + "; ".join(violations))
-    return violations
+def base_change_check(a: Matrix, b: Matrix, i: int) -> list:
+    """base_change_violations of the glued kernel pair of A and B over
+    Z/m or (Z/m)[z] at the i-th prime."""
+    return base_change_violations(glue_kernel_pair(a, b), i)
 
 
 def quotient_form_crt(a: Matrix, b: Matrix) -> list:

@@ -120,7 +120,8 @@ def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve):
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
     us, cols = ker_bar.basis, []
-    for u, x in zip(us.columns(), solve((-(b @ us)).columns())):
+    xs = solve((-(b @ us)).columns()) if us.ncols else []  # ker_bar = 0: no section
+    for u, x in zip(us.columns(), xs):
         if x is None:
             raise ConsistencyViolatedError(
                 f"no section witness for {u!r}, although it lies in ker(f1|f2)")
@@ -244,14 +245,26 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
 
 #: candidates per product in ``admissible_set``, which bounds its memory
 _ORACLE_BLOCK = 4096
+#: most candidates any enumeration here, or behavior's, may try
+ORACLE_LIMIT = 10 ** 6
 
-def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
+
+def _solve_by_enumeration(a: Matrix, c) -> tuple | None:
+    """The first x over Z/m, in product order, with A x = c (normalized), or
+    None: for m with a repeated prime factor, where per-prime solvability
+    can lie (4x = 2 is solvable mod 2, not mod 4).  Callers guard its size."""
+    for x in itertools.product(range(a.ring.m), repeat=a.ncols):
+        if a.matvec(x) == c:
+            return x
+    return None
+
+
+def admissible_set(a: Matrix, b: Matrix) -> list:
     """All u with A x + B u = 0 solvable, by direct enumeration.
 
     Over a field and square-free Z/m, solvability is checked modulo every
     prime factor, for a block of candidates at once; over other moduli x
-    is enumerated too, since per-prime solvability can lie there (4x = 2
-    has a solution mod 2 but none mod 4).
+    is enumerated too (``_solve_by_enumeration``).
     """
     _check_pair(a, b)
     ring = a.ring
@@ -259,8 +272,8 @@ def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
         raise NotFiniteError("cannot enumerate GF(p)[z] vectors")
     q1, q2 = a.ncols, b.ncols
     count = ring.size ** q2
-    if count > limit:
-        raise OracleTooLargeError(f"{count} candidates exceed the {limit} guard")
+    if count > ORACLE_LIMIT:
+        raise OracleTooLargeError(f"{count} candidates exceed the {ORACLE_LIMIT} guard")
 
     candidates = itertools.product(range(ring.size), repeat=q2)
     if isinstance(ring, PrimeField) or ring.square_free:
@@ -277,20 +290,14 @@ def admissible_set(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> list:
             images = [(c @ Matrix.from_columns(c.ring, us, q2)).columns() for c in checks]
             members += [u for u, *cols in zip(us, *images) if not any(map(any, cols))]
         return members
-    if count * ring.size ** q1 > limit:
+    if count * ring.size ** q1 > ORACLE_LIMIT:
         raise OracleTooLargeError(
-            f"{count * ring.size ** q1} (x,u) pairs exceed the {limit} guard")
-    xs = [tuple(x) for x in itertools.product(range(ring.m), repeat=q1)]
+            f"{count * ring.size ** q1} (x,u) pairs exceed the {ORACLE_LIMIT} guard")
     neg_b = -b
-
-    def member(u):
-        target = neg_b.matvec(u)
-        return any(a.matvec(x) == target for x in xs)
-
-    return [u for u in candidates if member(u)]
+    return [u for u in candidates if _solve_by_enumeration(a, neg_b.matvec(u)) is not None]
 
 
-def kernel_pair_oracle(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> Submodule:
+def kernel_pair_oracle(a: Matrix, b: Matrix) -> Submodule:
     """Canonical presentation of the enumerated ker(f1|f2).
 
     The enumerated set is verified to be closed under addition and
@@ -298,7 +305,7 @@ def kernel_pair_oracle(a: Matrix, b: Matrix, limit: int = 10 ** 6) -> Submodule:
     means a bug somewhere upstream, not bad input.
     """
     ring = a.ring
-    members = admissible_set(a, b, limit=limit)
+    members = admissible_set(a, b)
     member_set = set(members)
     for c in ring.elements():
         for u in members:
@@ -325,8 +332,7 @@ def _apply_to_basis(m: Matrix, sub: Submodule) -> Submodule:
 
 
 def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
-                     psi2: Automorphism, psi: Automorphism,
-                     strict: bool = False) -> list:
+                     psi2: Automorphism, psi: Automorphism) -> list:
     """Automorphism identities for ker(. | .), as canonical equalities.
 
       (vi)   u -> Psi2 u maps ker(A | B Psi2) bijectively onto ker(A|B)
@@ -334,16 +340,12 @@ def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
       (viii) ker(A Psi1 | B)  = ker(A|B)
       (ix)   ker(Psi A | B)   = ker(A | Psi^{-1} B)
 
-    Returns the list of violated clauses (empty when all hold); with
-    strict=True the first violation raises instead.
+    Returns the list of violated clauses (empty when all hold).
     """
     _check_pair(a, b)
     if psi1.n != a.ncols or psi2.n != b.ncols or psi.n != a.nrows:
         raise DimensionMismatchError("automorphism sizes do not match A, B")
-    violations = _identity_check(a, b)(psi1, psi2, psi)
-    if strict and violations:
-        raise IdentityViolatedError("; ".join(violations))
-    return violations
+    return _identity_check(a, b)(psi1, psi2, psi)
 
 
 def _identity_check(a, b):

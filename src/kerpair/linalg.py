@@ -261,11 +261,7 @@ class Submodule:
             return self.basis.ncols
         return tuple(c.dim for c in self.components)
 
-    @property
-    def rank(self) -> int:
-        if self.kind in ("field", "poly"):
-            return self.basis.ncols
-        return tuple(c.rank for c in self.components)
+    rank = dim
 
     def size(self):
         """Number of elements; None over polynomial rings."""

@@ -24,7 +24,7 @@ from .errors import DimensionMismatchError, NotAFieldError, RingMismatchError
 from .kernel import _check_pair, _projection_pair
 from .linalg import Submodule, nullspace
 from .matrix import Matrix, hstack, vstack
-from .rings import PolyRing, PrimeField, split_ring
+from .rings import PolyRing, PrimeField
 
 
 def _require_poly_field(ring):
@@ -267,11 +267,6 @@ def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:
 # -- local-global over (Z/m)[z] ----------------------------------------------
 
 
-def reduce_poly_matrix(a: Matrix, i: int) -> Matrix:
-    """Coefficientwise reduction of a (Z/m)[z] matrix mod its i-th prime."""
-    return split_ring(a.ring).reduce_matrix(a, i)
-
-
 def kernel_pair_poly_crt(a: Matrix, b: Matrix):
     """ker(f1|f2) over (Z/m)[z], m square-free, glued from the GF(p_i)[z]
     local kernels through the coefficient-ring idempotents."""
@@ -279,22 +274,14 @@ def kernel_pair_poly_crt(a: Matrix, b: Matrix):
 
     if not isinstance(a.ring, PolyRing):
         raise RingMismatchError(f"expected a polynomial matrix, got {a.ring!r}")
-    return glue_kernel_pair(a, b, split_ring(a.ring), lambda x, y: kernel_pair_poly(x, y)[0])
+    return glue_kernel_pair(a, b)
 
 
-def poly_base_change_check(a: Matrix, b: Matrix, i: int) -> list:
-    """Flatness check over (Z/m)[z]: reducing the glued generators mod
-    the i-th prime must reproduce the local kernel."""
-    from .crt import base_change_violations
-
-    return base_change_violations(kernel_pair_poly_crt(a, b), i)
-
-
-def random_unimodular(ring: PolyRing, n: int, rng, ops: int = 8) -> Matrix:
-    """Product of elementary column operations; determinant a unit."""
+def random_unimodular(ring: PolyRing, n: int, rng) -> Matrix:
+    """Product of 8 elementary column operations; determinant a unit."""
     _require_poly_field(ring)
     cols = [list(c) for c in Matrix.identity(ring, n).columns()]
-    for _ in range(ops):
+    for _ in range(8):
         kind = rng.randrange(3)
         i, j = rng.randrange(n), rng.randrange(n)
         if kind == 0 and i != j:

@@ -28,6 +28,7 @@ from kerpair import (
     reduce_matrix,
     submodule_equal,
 )
+from kerpair.rings import split_ring
 from conftest import pair_instances, span_elements
 
 Z30 = ModRing(30)
@@ -133,11 +134,34 @@ def test_base_change_worked_example():
 
 
 def test_base_change_on_randoms():
-    for ring in (Z6, Z30):
+    for ring in (Z6, Z30, PolyRing(30)):
         for a, b in pair_instances(ring, 25, seed=223, max_rows=3,
-                                   max_q1=3, max_q2=3):
-            for i in range(len(ring.primes)):
+                                   max_q1=3, max_q2=3, max_degree=1):
+            for i in range(len(split_ring(ring).primes)):
                 assert base_change_check(a, b, i) == []
+
+
+@pytest.mark.parametrize("table, entry, ring", [
+    ("FIELD", kernel_pair_crt, ModRing(30)),
+    ("POLY", kernel_pair_poly_crt, PolyRing(30)),
+], ids=["Z/30", "(Z/30)[z]"])
+def test_glued_kernel_pairs_go_through_the_backend_table(table, entry, ring, monkeypatch):
+    """Both per-family entries answer each prime through crt's backend
+    table, so a patched local kernel pair is what they glue."""
+    backend = getattr(crt, table)
+    real, calls = backend["kernel_pair"], []
+
+    def counted(a, b):
+        calls.append(a.ring)
+        return real(a, b)
+
+    monkeypatch.setitem(backend, "kernel_pair", counted)
+    rng = random.Random(233)
+    a = random_matrix(ring, 2, 2, rng, max_degree=1)
+    b = random_matrix(ring, 2, 1, rng, max_degree=1)
+    result = entry(a, b)
+    assert [r.q for r in calls] == [2, 3, 5]
+    assert result.primes == (2, 3, 5)
 
 
 def test_quotient_form_z6():

@@ -383,6 +383,26 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
     assert counts[0] == counts[1] <= 6
 
 
+def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
+    """With ker(f1|f2) = 0 there is no section column to solve for, so a
+    field kernel pair eliminates A and [A|B] only, not A a second time."""
+    ring = PrimeField(7)
+    a = Matrix(ring, 3, 1, [[1], [0], [0]])
+    b = Matrix(ring, 3, 1, [[0], [1], [0]])
+    calls = []
+    real = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    result, witness = kernel_pair_projection(a, b)
+    assert result.ker_bar.is_zero()
+    assert (witness.section.nrows, witness.section.ncols) == (2, 0)
+    assert len(calls) == 2
+
+
 def test_eliminations_per_identity_check(monkeypatch):
     """check_identities computes five ker_bar presentations, each one
     nullspace, over three images (A once, A Psi1, Psi A); ker_f1 and the

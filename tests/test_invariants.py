@@ -79,7 +79,7 @@ def test_saturation_oracle_vector_outside_the_kernel(tmp_path, monkeypatch):
                         lambda a, bound: [((1,),) * a.ncols])
     ring = PolyRing(2)
     a, b = Matrix(ring, 1, 1, [[(0, 1)]]), Matrix(ring, 1, 1, [[(1,)]])
-    checks = dict(verify_instance(a, b, collect=True))
+    checks = dict(verify_instance(a, b))
     assert checks["saturation"]
     assert not any(v for name, v in checks.items() if name != "saturation")
     assert run(tmp_path, POLY_FILE, ["verify", "FILE", "A", "B"]) == 1
