@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 violation / not a member / not admissible,
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -125,20 +126,19 @@ def format_matrix_file(ring, matrices) -> str:
 
 
 def split_vector_text(text: str) -> list:
-    """Split on top-level commas, leaving bracketed coefficient lists whole."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    """Split on top-level commas, leaving bracketed coefficient lists whole.
+    A blank text is the zero-length vector; an empty entry or an unmatched
+    ``]`` is a parse error."""
+    if not text.strip():
+        return []
+    depths = list(itertools.accumulate((ch == "[") - (ch == "]") for ch in text))
+    if min(depths) < 0:
+        raise MatrixParseError(f"unmatched ']' in vector {text!r}")
+    cuts = [-1, *(i for i, ch in enumerate(text) if ch == "," and depths[i] == 0), len(text)]
+    parts = [text[i + 1:j].strip() for i, j in zip(cuts, cuts[1:])]
+    if "" in parts:
+        raise MatrixParseError(f"empty entry in vector {text!r}")
+    return parts
 
 
 def parse_vector(ring, text: str, expect: int) -> tuple:
@@ -239,6 +239,17 @@ def _named(matrices, name) -> Matrix:
     return matrices[name]
 
 
+def _pair(args):
+    """(ring, A, B): the matrices ``name_a`` and ``name_b`` of ``file``."""
+    ring, matrices = parse_matrix_file(Path(args.file).read_text())
+    return ring, _named(matrices, args.name_a), _named(matrices, args.name_b)
+
+
+def _check_options(args) -> dict:
+    """The --seed and --trials given; verify_instance's defaults fill in the rest."""
+    return {k: getattr(args, k) for k in ("seed", "trials") if hasattr(args, k)}
+
+
 # -- kernel pairs ------------------------------------------------------------
 
 
@@ -252,8 +263,10 @@ def _degenerate_notes(a: Matrix, b: Matrix) -> list:
 
 
 def cmd_kernel_pair(args, out) -> int:
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
-    a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
+    checks = _check_options(args)
+    if checks and not args.verify:
+        raise MatrixParseError(f"--{next(iter(checks))} needs --verify")
+    ring, a, b = _pair(args)
     result, witness = crt.kernel_pair(a, b, method=args.method)
     doc = {"command": "kernel-pair", "ring": repr(ring),
            "matrices": [args.name_a, args.name_b], "method": args.method,
@@ -272,7 +285,7 @@ def cmd_kernel_pair(args, out) -> int:
 
     violations = []
     if args.verify:
-        violations = verify_instance(a, b, trials=args.trials, seed=args.seed)
+        violations = verify_instance(a, b, **checks)
         doc["verify"] = [{"check": name, "violations": v} for name, v in violations]
         violations = [(n, v) for n, v in violations if v]
         if violations:
@@ -321,8 +334,7 @@ def cmd_idempotents(args, out) -> int:
 
 
 def cmd_member(args, out) -> int:
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
-    a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
+    ring, a, b = _pair(args)
     u = parse_vector(ring, args.vector, b.ncols)
     bu = b.matvec(u)
     x = crt.solve(a, tuple(map(ring.neg, bu)))
@@ -352,8 +364,7 @@ def cmd_simulate(args, out) -> int:
     if args.x0_file is not None and args.boundary != "fixed":
         raise MatrixParseError(
             f"--x0-file needs --boundary fixed, got --boundary {args.boundary}")
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
-    a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
+    ring, a, b = _pair(args)
     sys_pair = SystemPair(a=a, b=b)
     inputs = parse_vector_file(ring, args.u_file, sys_pair.m)
     if args.steps is not None:
@@ -397,20 +408,17 @@ def cmd_simulate(args, out) -> int:
 class _Instance:
     """What the checks read: A, B, the kernel pair through the ``crt``
     dispatch, and the local instances (label, A, B, local result) -- the
-    instance itself over GF(p) and GF(p)[z], its reduction at each prime
-    over Z/m and (Z/m)[z]."""
+    instance itself over GF(p) and GF(p)[z], and over Z/m and (Z/m)[z]
+    the pair at each prime that the glued kernel pair already reduced."""
 
     def __init__(self, a: Matrix, b: Matrix, rng, trials: int):
         self.a, self.b, self.ring, self.rng, self.trials = a, b, a.ring, rng, trials
         self.result, self.witness = crt.kernel_pair(a, b)
         self.split, self.finite = not is_local(self.ring), self.ring.size is not None
-        if not self.split:
-            self.locals = [("", a, b, self.result)]
-        else:
-            split = split_ring(self.ring)
-            self.locals = [(f"mod {p}: ", split.reduce_matrix(a, i),
-                            split.reduce_matrix(b, i), self.result.local_results[i])
-                           for i, p in enumerate(split.primes)]
+        r = self.result
+        self.locals = [("", a, b, r)] if not self.split else [
+            (f"mod {p}: ", fa, fb, local)
+            for p, (fa, fb), local in zip(r.primes, r.local_pairs, r.local_results)]
 
 
 def _each_local(check):
@@ -501,9 +509,8 @@ def verify_instance(a: Matrix, b: Matrix, trials: int = 5, seed: int = DEFAULT_S
 
 
 def cmd_verify(args, out) -> int:
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
-    a, b = _named(matrices, args.name_a), _named(matrices, args.name_b)
-    checks = verify_instance(a, b, trials=args.trials, seed=args.seed)
+    ring, a, b = _pair(args)
+    checks = verify_instance(a, b, **_check_options(args))
     failed = [(n, v) for n, v in checks if v]
     doc = {"command": "verify", "ring": repr(ring),
            "checks": [{"check": n, "violations": v} for n, v in checks],
@@ -531,8 +538,15 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit the full result document as JSON")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized checks")
+    pair = argparse.ArgumentParser(add_help=False)
+    for name in ("file", "name_a", "name_b"):
+        pair.add_argument(name)
+    # left unset when not given, so verify_instance's defaults apply
+    checks = argparse.ArgumentParser(add_help=False)
+    checks.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help=f"seed for randomized checks (default {DEFAULT_SEED})")
+    checks.add_argument("--trials", type=_at_least(1), default=argparse.SUPPRESS,
+                        help="random automorphism trials per local ring")
 
     parser = argparse.ArgumentParser(
         prog="kerpair",
@@ -545,17 +559,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.set_defaults(func=cmd_kernel)
 
-    p = sub.add_parser("kernel-pair", parents=[common],
+    p = sub.add_parser("kernel-pair", parents=[common, pair, checks],
                        help="ker(A|B) with section witness")
-    p.add_argument("file")
-    p.add_argument("name_a")
-    p.add_argument("name_b")
     p.add_argument("--method", default="auto",
                    choices=["projection", "preimage", "quotient", "oracle",
                             "crt", "poly", "auto"])
     p.add_argument("--verify", action="store_true",
                    help="also run the invariant suite on this instance")
-    p.add_argument("--trials", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_kernel_pair)
 
     p = sub.add_parser("idempotents", parents=[common],
@@ -563,19 +573,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("modulus", type=int)
     p.set_defaults(func=cmd_idempotents)
 
-    p = sub.add_parser("member", parents=[common],
+    p = sub.add_parser("member", parents=[common, pair],
                        help="decide u in ker(A|B) and print a witness")
-    p.add_argument("file")
-    p.add_argument("name_a")
-    p.add_argument("name_b")
     p.add_argument("vector", help="comma-separated entries, e.g. 1,2 or [0,1],[1]")
     p.set_defaults(func=cmd_member)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[common, pair],
                        help="drive x(t+1) = A x(t) + B u(t)")
-    p.add_argument("file")
-    p.add_argument("name_a")
-    p.add_argument("name_b")
     p.add_argument("--u-file", required=True, help="one input vector per line")
     p.add_argument("--x0-file", help="single-line initial state (--boundary fixed only)")
     p.add_argument("--steps", type=_at_least(0))
@@ -583,12 +587,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["free", "fixed", "periodic"])
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[common, pair, checks],
                        help="run the invariant suite on one instance")
-    p.add_argument("file")
-    p.add_argument("name_a")
-    p.add_argument("name_b")
-    p.add_argument("--trials", type=_at_least(1), default=5)
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -5,8 +5,8 @@ solution of A x = c -- is answered by a local backend (``FIELD`` or
 ``POLY``): elimination over GF(p) or Hermite reduction over GF(p)[z].
 Z/m and (Z/m)[z] with m = p1 ... ps square-free are products of those
 local rings (``rings.Split``), so there ``_per_prime`` reduces the
-question mod each p_i and answers it locally, and the answers are glued
-back through the structural idempotents e_i:
+question mod each p_i, answers it locally and keeps each reduction beside
+its answer, and ``Split`` glues the answers back through its idempotents:
 
     ker(A|B) = e_1 ker(A mod p1 | B mod p1) + ... + e_s ker(A mod ps | B mod ps)
 
@@ -80,20 +80,21 @@ def _local(question: str, ring):
 
 
 def _per_prime(question: str, split: Split, *args) -> list:
-    """The local answer to ``question`` at every prime of ``split``, with
-    each Matrix argument reduced through ``reduce_matrix`` and each vector
+    """(reduced arguments, local answer to ``question``) at every prime of
+    ``split``, Matrix arguments reduced through ``reduce_matrix`` and vectors
     through ``reduce``: the one loop over a split ring's primes."""
     answer = _local(question, split.ring)
-    return [answer(*(split.reduce_matrix(x, i) if isinstance(x, Matrix) else split.reduce(x, i)
-                     for x in args))
-            for i in range(len(split.primes))]
+    reduced = (tuple(split.reduce_matrix(x, i) if isinstance(x, Matrix) else split.reduce(x, i)
+                     for x in args) for i in range(len(split.primes)))
+    return [(xs, answer(*xs)) for xs in reduced]
 
 
 def kernel(a: Matrix) -> Submodule:
     """Canonical kernel {v : A v = 0} over any supported ring."""
     if is_local(a.ring):
         return _local("kernel", a.ring)(a)
-    return Submodule.glued(a.ring, a.ncols, _per_prime("kernel", split_ring(a.ring), a))
+    parts = _per_prime("kernel", split_ring(a.ring), a)
+    return Submodule.glued(a.ring, a.ncols, [k for _, k in parts])
 
 
 def solve(a: Matrix, c) -> tuple | None:
@@ -102,7 +103,7 @@ def solve(a: Matrix, c) -> tuple | None:
     if is_local(a.ring):
         return _local("solve", a.ring)(a, c)
     split = split_ring(a.ring)
-    parts = _per_prime("solve", split, a, c)
+    parts = [x for _, x in _per_prime("solve", split, a, c)]
     return None if None in parts else split.glue(parts)
 
 
@@ -143,10 +144,12 @@ def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):
 @dataclass(frozen=True)
 class LocalGlobalResult(KernelPairResult):
     """A kernel pair over a split ring: ker_f1, ker_pair and ker_bar glued
-    from one local KernelPairResult per prime."""
+    from one local KernelPairResult per prime, each beside the local pair
+    (A mod p, B mod p) it answers."""
 
     primes: tuple
     local_results: tuple
+    local_pairs: tuple
 
     glued = property(lambda self: self.ker_bar)
     glued_pair = property(lambda self: self.ker_pair)
@@ -159,12 +162,14 @@ class LocalGlobalResult(KernelPairResult):
 
 def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
     """ker(f1|f2) over Z/m or (Z/m)[z], m square-free (a prime m gives one
-    local result): the local kernel pair at every prime, glued."""
+    local result): the local kernel pair at every prime, glued, with the
+    reduced pairs it answered kept as ``local_pairs``."""
     _check_pair(a, b)
     if isinstance(a.ring, PrimeField):
         raise RingMismatchError(f"expected a Z/m or (Z/m)[z] matrix, got one over {a.ring!r}")
     split = split_ring(a.ring)
-    locals_ = tuple(r for r, _ in _per_prime("kernel_pair", split, a, b))
+    pairs, answers = zip(*_per_prime("kernel_pair", split, a, b))
+    locals_ = tuple(r for r, _ in answers)
 
     def glue(part, ambient):
         return Submodule.glued(a.ring, ambient, [getattr(r, part) for r in locals_])
@@ -172,7 +177,7 @@ def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
     return LocalGlobalResult(
         ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),
         ker_bar=glue("ker_bar", b.ncols), method="projection",
-        primes=split.primes, local_results=locals_)
+        primes=split.primes, local_results=locals_, local_pairs=pairs)
 
 
 def reduce_matrix(a: Matrix, i: int) -> Matrix:

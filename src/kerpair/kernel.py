@@ -300,24 +300,13 @@ def admissible_set(a: Matrix, b: Matrix) -> list:
 def kernel_pair_oracle(a: Matrix, b: Matrix) -> Submodule:
     """Canonical presentation of the enumerated ker(f1|f2).
 
-    The enumerated set is verified to be closed under addition and
-    scalar action before it is presented; a set that fails closure
-    means a bug somewhere upstream, not bad input.
+    The enumerated set S lies in its span, so S is a submodule exactly
+    when its members are distinct and the span has |S| elements; a set
+    that fails this means a bug somewhere upstream, not bad input.
     """
-    ring = a.ring
     members = admissible_set(a, b)
-    member_set = set(members)
-    for c in ring.elements():
-        for u in members:
-            if tuple(ring.mul(c, x) for x in u) not in member_set:
-                raise IdentityViolatedError(f"oracle set not closed under scaling by {c}")
-    if len(members) ** 2 <= 250_000:
-        for u in members:
-            for v in members:
-                if tuple(ring.add(x, y) for x, y in zip(u, v)) not in member_set:
-                    raise IdentityViolatedError("oracle set not closed under addition")
-    sub = Submodule.from_columns(ring, b.ncols, members)
-    if sub.size() != len(members):
+    sub = Submodule.from_columns(a.ring, b.ncols, members)
+    if not len(set(members)) == len(members) == sub.size():
         raise IdentityViolatedError(
             f"oracle span has {sub.size()} elements but {len(members)} were enumerated")
     return sub

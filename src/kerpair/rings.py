@@ -18,7 +18,8 @@ each subclass adds only its own units and inverses (the primality check
 and exact division for GF(p), the factorization and gcd inverses for
 Z/m).  All three families take their modulus through one range check,
 ``2 <= q <= MAX_MODULUS``, and compare equal exactly when family and
-modulus agree; ``p``, ``m`` and ``n`` name the same ``q``.
+modulus agree; ``p``, ``m`` and ``n`` name the same ``q``.  ``Split``,
+the one CRT record, reads ``primes`` and ``square_free`` off Z/m and (Z/m)[z].
 """
 
 import functools
@@ -116,25 +117,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
             d = _pollard_brent(m)
             parts += [d, m // d]
     return sorted(counts.items())
-
-
-def crt_idempotents(primes: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Structural idempotents of Z/m for square-free m with the given primes.
-
-    ``e_i`` is 1 mod ``primes[i]`` and 0 mod every other prime factor, so
-    multiplication by ``e_i`` projects onto the i-th field component.
-    """
-    es = []
-    for p in primes:
-        n = m // p
-        es.append((n * pow(n, -1, p)) % m)
-    return tuple(es)
-
-
-def crt_combine(residues, primes, m: int) -> int:
-    """The unique x in [0, m) with x = residues[i] mod primes[i]."""
-    es = crt_idempotents(tuple(primes), m)
-    return sum(r * e for r, e in zip(residues, es)) % m
 
 
 class _Ring:
@@ -272,7 +254,7 @@ class PolyRing(_Ring):
     reduction can split the ring into its GF(p)[z] factors.
     """
 
-    __slots__ = ("coeff_primes", "coeff_square_free")
+    __slots__ = ("primes", "square_free")
 
     kind = "polygf"
     n = property(lambda self: self.q)
@@ -283,12 +265,12 @@ class PolyRing(_Ring):
     def __init__(self, n: int):
         super().__init__(n)
         factors = factorize(n)
-        self.coeff_primes = tuple(p for p, _ in factors)
-        self.coeff_square_free = all(k == 1 for _, k in factors)
+        self.primes = tuple(p for p, _ in factors)
+        self.square_free = all(k == 1 for _, k in factors)
 
     @property
     def coeff_is_prime(self) -> bool:
-        return len(self.coeff_primes) == 1 and self.coeff_primes[0] == self.q
+        return self.primes == (self.q,)
 
     def normalize(self, coeffs) -> tuple:
         cs = [int(c) % self.q for c in coeffs]
@@ -424,25 +406,23 @@ class Split:
     ring's ``normalize`` (entrywise for ints, coefficientwise for
     polynomials); ``lift`` carries a local vector back, multiplied by the
     structural idempotent e_i so that it vanishes in every other factor;
-    ``glue`` sums the lifts, the inverse of reducing at every prime.
+    ``glue`` sums the lifts, the inverse of reducing at every prime, and
+    is the one CRT combiner.
     """
 
     __slots__ = ("ring", "primes", "locals", "idempotents")
 
     def __init__(self, ring):
-        if isinstance(ring, ModRing):
-            self.primes, square_free, local = ring.primes, ring.square_free, PrimeField
-        else:
-            self.primes, square_free, local = (ring.coeff_primes,
-                                               ring.coeff_square_free, PolyRing)
-        if not square_free:
+        local = PrimeField if isinstance(ring, ModRing) else PolyRing
+        if not ring.square_free:
             bad = next(p for p, k in factorize(ring.q) if k > 1)
             what = "modulus" if local is PrimeField else "coefficient modulus"
             raise NotSquareFreeError(
                 f"{ring!r} does not decompose; {what} is not square-free", prime=bad)
-        self.ring = ring
+        self.ring, self.primes, m = ring, ring.primes, ring.q
         self.locals = tuple(local(p) for p in self.primes)
-        es = crt_idempotents(self.primes, ring.q)
+        # e_i = (m/p_i) * ((m/p_i)^-1 mod p_i): 1 mod p_i, 0 mod every other prime
+        es = tuple(m // p * pow(m // p, -1, p) % m for p in self.primes)
         self.idempotents = es if local is PrimeField else tuple((e,) for e in es)
 
     def reduce(self, v, i) -> tuple:

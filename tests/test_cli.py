@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from pathlib import Path
@@ -226,6 +227,9 @@ def test_vector_file_error_messages(tmp_path, text, message, line):
     ("1,2,3", "vector has 3 entries, expected 2"),
     ("1", "vector has 1 entries, expected 2"),
     ("1,x", "invalid literal for int() with base 10: 'x'"),
+    ("1,,2", "empty entry in vector '1,,2'"),
+    ("1,2,", "empty entry in vector '1,2,'"),
+    ("[1,2]],[3", "unmatched ']' in vector '[1,2]],[3'"),
 ])
 def test_vector_argument_error_messages(text, message):
     with pytest.raises(MatrixParseError) as exc:
@@ -281,6 +285,12 @@ def test_split_vector_text():
     assert split_vector_text("1,2,3") == ["1", "2", "3"]
     assert split_vector_text("[0,1],[1]") == ["[0,1]", "[1]"]
     assert split_vector_text(" [1,0,1] , 3 ") == ["[1,0,1]", "3"]
+    assert split_vector_text("") == split_vector_text(" ") == []
+    for text in ("1,,2", "1,2,", ",", "1, ,2"):
+        with pytest.raises(MatrixParseError, match="empty entry"):
+            split_vector_text(text)
+    with pytest.raises(MatrixParseError, match="unmatched"):
+        split_vector_text("[1,2]],[3")
 
 
 def test_parse_vector_validates_width():
@@ -703,6 +713,73 @@ def test_trials_below_one_is_a_usage_error(gf_file, command, trials, capsys):
     code, text = run_cli([command[0], gf_file, "A", "B", *command[1:], "--trials", trials])
     assert code == 2 and text == ""
     assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["member", "A", "B", "1", "--seed", "3"],
+                                  ["kernel-pair", "A", "B", "--trials", "3"],
+                                  ["kernel-pair", "A", "B", "--seed", "3"]])
+def test_seed_and_trials_only_where_verify_runs(gf_file, argv, capsys):
+    code, text = run_cli([argv[0], gf_file, *argv[1:]])
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert ("--verify" if argv[0] == "kernel-pair" else "--seed") in err
+
+
+@pytest.mark.parametrize("argv,expect", [
+    (["verify", "--seed", "0"], {"seed": 0}),
+    (["verify", "--trials", "2"], {"trials": 2}),
+    (["kernel-pair", "--verify", "--seed", "0", "--trials", "1"], {"seed": 0, "trials": 1}),
+    (["verify"], {}),
+])
+def test_seed_and_trials_reach_verify_instance(gf_file, argv, expect, monkeypatch):
+    import kerpair.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "verify_instance",
+                        lambda a, b, **kw: calls.append(kw) or [])
+    assert run_cli([argv[0], gf_file, "A", "B", *argv[1:]])[0] == 0
+    defaults = {"seed": 1729, "trials": 5}
+    assert len(calls) == 1
+    assert {**defaults, **calls[0]} == {**defaults, **expect}
+
+
+def test_option_census():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    census = {name: sorted(s for a in p._actions for s in a.option_strings
+                           if s not in ("-h", "--help"))
+              for name, p in commands.items()}
+    assert census == {
+        "kernel": ["--json"], "idempotents": ["--json"], "member": ["--json"],
+        "simulate": ["--boundary", "--json", "--steps", "--u-file", "--x0-file"],
+        "kernel-pair": ["--json", "--method", "--seed", "--trials", "--verify"],
+        "verify": ["--json", "--seed", "--trials"],
+    }
+    assert sum(map(len, census.values())) == 16
+
+
+@pytest.mark.parametrize("text,reductions", [
+    ("ring zmod 30\nmatrix A 3 2\n1 2\n3 4\n5 6\nmatrix B 3 2\n7 8\n9 10\n11 12\n", 12),
+    (POLY30_FILE, 6),
+], ids=["Z/30", "(Z/30)[z]"])
+def test_verify_reduces_each_matrix_once_per_prime_and_row(text, reductions, monkeypatch):
+    # the glue reduces A and B once per prime and the local rows reuse
+    # those pairs; over Z/m the oracle row reduces them once more
+    from kerpair.cli import verify_instance
+    from kerpair.rings import Split
+
+    calls = []
+    real = Split.reduce_matrix
+
+    def counted(self, a, i):
+        calls.append(i)
+        return real(self, a, i)
+
+    _, matrices = parse_matrix_file(text)
+    monkeypatch.setattr(Split, "reduce_matrix", counted)
+    verify_instance(matrices["A"], matrices["B"], trials=1)
+    assert len(calls) == reductions
 
 
 def test_verify_runs_one_projection_kernel_pair(gf_file, monkeypatch):

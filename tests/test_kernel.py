@@ -7,6 +7,7 @@ from kerpair import (
     Automorphism,
     DimensionMismatchError,
     ExactSequenceWitness,
+    IdentityViolatedError,
     Matrix,
     ModRing,
     NotFiniteError,
@@ -259,6 +260,19 @@ def test_oracle_guard():
     with pytest.raises(OracleTooLargeError):
         # 8^7 u-candidates times 8^7 x-candidates blows the pair guard
         admissible_set(Matrix.zeros(ring8, 1, 7), Matrix.zeros(ring8, 1, 7))
+
+
+@pytest.mark.parametrize("q2,members", [
+    (1, [(0,), (1,), (1,), (2,), (3,)]),   # |members| = |span|, one repeated
+    (1, [(0,), (1,)]),                     # not closed
+    (4, list(itertools.product(range(5), repeat=4))[:-1]),  # 624 of 625
+], ids=["repeated", "two-elements", "624-of-625"])
+def test_oracle_rejects_a_set_that_is_not_a_submodule(q2, members, monkeypatch):
+    import kerpair.kernel as kernel_mod
+
+    monkeypatch.setattr(kernel_mod, "admissible_set", lambda a, b: members)
+    with pytest.raises(IdentityViolatedError):
+        kernel_pair_oracle(Matrix.zeros(GF5, 1, 1), Matrix.zeros(GF5, 1, q2))
 
 
 def test_oracle_rejects_poly():

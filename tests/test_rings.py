@@ -15,7 +15,7 @@ from kerpair import (
     PrimeField,
     make_ring,
 )
-from kerpair.rings import crt_combine, crt_idempotents, factorize, is_prime
+from kerpair.rings import factorize, is_prime, split_ring
 
 RINGS = [PrimeField(2), PrimeField(5), PrimeField(7), ModRing(30), ModRing(12),
          PolyRing(2), PolyRing(3)]
@@ -268,12 +268,12 @@ def test_factorize_at_max_modulus():
 @settings(max_examples=200)
 @given(st.integers(0, 29))
 def test_crt_combine_round_trip(x):
-    primes = (2, 3, 5)
-    assert crt_combine([x % p for p in primes], primes, 30) == x
+    split = split_ring(ModRing(30))
+    assert split.glue([(x % p,) for p in split.primes]) == (x,)
 
 
 def test_idempotents_defining_congruences():
-    es = crt_idempotents((2, 3, 5), 30)
+    es = split_ring(ModRing(30)).idempotents
     for i, p in enumerate((2, 3, 5)):
         for j, e in enumerate(es):
             assert e % p == (1 if i == j else 0)
