@@ -158,30 +158,28 @@ def _vector_doc(ring, v):
     return [ring.format(e) for e in v]
 
 
+#: A submodule document's "kind", by ring family and whether it is glued.
+_SUBMODULE_KIND = {("gf", False): "field", ("polygf", False): "poly",
+                   ("zmod", True): "components", ("polygf", True): "poly_components"}
+
+
 def _submodule_doc(sub: Submodule) -> dict:
-    if sub.kind in ("field", "poly"):
-        return {
-            "kind": sub.kind,
-            "ambient": sub.ambient,
-            "rank": sub.basis.ncols,
-            "basis": [_vector_doc(sub.ring, c) for c in sub.basis.columns()],
-        }
-    doc = {
-        "kind": sub.kind,
-        "ambient": sub.ambient,
-        "rank": list(sub.rank),
-        "generators": [_vector_doc(sub.ring, g) for g in sub.generators()],
-        "components": [_submodule_doc(c) for c in sub.components],
-        "primes": list(split_ring(sub.ring).primes),
-    }
-    if sub.kind == "components":
+    glued = bool(sub.components)
+    doc = {"kind": _SUBMODULE_KIND[sub.ring.kind, glued], "ambient": sub.ambient,
+           "rank": list(sub.rank) if glued else sub.rank}
+    if not glued:
+        doc["basis"] = [_vector_doc(sub.ring, c) for c in sub.basis.columns()]
+        return doc
+    doc["generators"] = [_vector_doc(sub.ring, g) for g in sub.generators()]
+    doc["components"] = [_submodule_doc(c) for c in sub.components]
+    doc["primes"] = list(split_ring(sub.ring).primes)
+    if sub.ring.size is not None:
         doc["size"] = sub.size()
     return doc
 
 
 def _print_submodule(label: str, sub: Submodule, out):
-    rank = f"rank {sub.rank}" if sub.kind in ("field", "poly") else \
-        f"per-prime ranks {list(sub.rank)}"
+    rank = f"per-prime ranks {list(sub.rank)}" if sub.components else f"rank {sub.rank}"
     print(f"{label}: {rank} in ambient {sub.ambient}", file=out)
     for g in sub.generators():
         print("  [" + ", ".join(map(sub.ring.format, g)) + "]", file=out)

@@ -70,8 +70,7 @@ def idempotents(m: int) -> CrtDecomposition:
 # kernel._METHODS, because bench/spans.py patches a traced function
 # wherever a module or a module-level dict holds it.
 FIELD = {"kernel": nullspace, "solve": linalg.solve, "kernel_pair": kernel_pair_projection}
-POLY = {"kernel": lambda a: poly_kernel(a).submodule, "solve": poly_solve,
-        "kernel_pair": kernel_pair_poly}
+POLY = {"kernel": poly_kernel, "solve": poly_solve, "kernel_pair": kernel_pair_poly}
 
 
 def _local(question: str, ring):
@@ -94,7 +93,7 @@ def kernel(a: Matrix) -> Submodule:
     if is_local(a.ring):
         return _local("kernel", a.ring)(a)
     parts = _per_prime("kernel", split_ring(a.ring), a)
-    return Submodule.glued(a.ring, a.ncols, [k for _, k in parts])
+    return Submodule(a.ring, a.ncols, components=[k for _, k in parts])
 
 
 def solve(a: Matrix, c) -> tuple | None:
@@ -172,7 +171,7 @@ def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
     locals_ = tuple(r for r, _ in answers)
 
     def glue(part, ambient):
-        return Submodule.glued(a.ring, ambient, [getattr(r, part) for r in locals_])
+        return Submodule(a.ring, ambient, components=[getattr(r, part) for r in locals_])
 
     return LocalGlobalResult(
         ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),

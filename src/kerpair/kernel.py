@@ -306,9 +306,10 @@ def kernel_pair_oracle(a: Matrix, b: Matrix) -> Submodule:
     """
     members = admissible_set(a, b)
     sub = Submodule.from_columns(a.ring, b.ncols, members)
-    if not len(set(members)) == len(members) == sub.size():
-        raise IdentityViolatedError(
-            f"oracle span has {sub.size()} elements but {len(members)} were enumerated")
+    distinct = len(set(members))
+    if not distinct == len(members) == sub.size():
+        raise IdentityViolatedError(f"oracle span has {sub.size()} elements but "
+                                    f"{distinct} distinct of {len(members)} were enumerated")
     return sub
 
 

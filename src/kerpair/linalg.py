@@ -18,16 +18,17 @@ other entry in a pivot row zero, columns ordered by pivot row.  Two
 subspaces are equal as sets exactly when their presentations are
 identical, which turns set equality into structural comparison.
 
-Submodules over Z/m (square-free) are presented per prime component, and
-submodules over polynomial rings by a column Hermite basis; see
-``Submodule`` for the dispatch.
+``Submodule`` is the one presentation over every ring: over GF(p)[z] it
+holds the column Hermite basis, and over square-free Z/m or (Z/m)[z] one
+local presentation per prime.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DimensionMismatchError, NotAFieldError
 from .matrix import Matrix, _from_slots, _pack, _slot_bytes
-from .rings import ModRing, PolyRing, PrimeField, is_local, split_ring
+from .rings import PolyRing, PrimeField, is_local, split_ring
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def nullspace(a: Matrix) -> "Submodule":
         cols.append(v)
     basis = Matrix._canonical(ring, n, len(cols), zip(*cols)) if cols else \
         Matrix.zeros(ring, n, 0)
-    return Submodule(ring, n, "field", basis=basis,
-                     pivot_rows=tuple(n - 1 - f for f in free))
+    return Submodule(ring, n, basis=basis, pivot_rows=tuple(n - 1 - f for f in free))
 
 
 def _solve_columns(a: Matrix, rhs) -> list:
@@ -196,23 +196,28 @@ def image(a: Matrix) -> "Submodule":
     return Submodule.from_columns(a.ring, a.nrows, a.columns())
 
 
+def vector_degree(v) -> int:
+    """Largest entry degree of a polynomial vector; -1 for the zero vector."""
+    degs = [len(e) - 1 for e in v if e]
+    return max(degs, default=-1)
+
+
 class Submodule:
     """Canonical finite presentation of a submodule of ring^ambient.
 
-    kind "field":           reduced column echelon basis over GF(p).
-    kind "components":      one field presentation per prime of square-free Z/m;
-                            the submodule is glued back through the structural
-                            idempotents.
-    kind "poly":            column Hermite basis over GF(p)[z].
-    kind "poly_components": one poly presentation per prime of (Z/m)[z].
+    Over GF(p) or GF(p)[z] it is local: ``basis`` (ambient x rank) in
+    canonical column form, reduced column echelon over GF(p) and column
+    Hermite over GF(p)[z], with its ``pivot_rows``.  Over square-free Z/m or (Z/m)[z]
+    it is glued: ``components`` holds one local presentation per prime,
+    glued back through the structural idempotents.  Equal submodules have
+    equal presentations.
     """
 
-    __slots__ = ("ring", "ambient", "kind", "basis", "pivot_rows", "components")
+    __slots__ = ("ring", "ambient", "basis", "pivot_rows", "components")
 
-    def __init__(self, ring, ambient, kind, basis=None, pivot_rows=(), components=()):
+    def __init__(self, ring, ambient, basis=None, pivot_rows=(), components=()):
         self.ring = ring
         self.ambient = ambient
-        self.kind = kind
         self.basis = basis
         self.pivot_rows = tuple(pivot_rows)
         self.components = tuple(components)
@@ -225,23 +230,17 @@ class Submodule:
             raise AmbientMismatchError("spanning vector with wrong length")
         if not is_local(ring):
             split = split_ring(ring)
-            return cls.glued(ring, ambient, [
+            return cls(ring, ambient, components=[
                 cls.from_columns(local, ambient, [split.reduce(c, i) for c in columns])
                 for i, local in enumerate(split.locals)])
         if isinstance(ring, PrimeField):
             cols, pivots = _echelon_columns(ring, ambient, columns)
             basis = Matrix._canonical(ring, ambient, len(cols), zip(*cols)) if cols else \
                 Matrix.zeros(ring, ambient, 0)
-            return cls(ring, ambient, "field", basis=basis, pivot_rows=pivots)
+            return cls(ring, ambient, basis=basis, pivot_rows=pivots)
         from .polykernel import hermite_basis
 
-        return hermite_basis(Matrix.from_columns(ring, columns, nrows=ambient)).submodule
-
-    @classmethod
-    def glued(cls, ring, ambient, components) -> "Submodule":
-        """The submodule of a split ring with the given per-prime components."""
-        kind = "components" if isinstance(ring, ModRing) else "poly_components"
-        return cls(ring, ambient, kind, components=components)
+        return hermite_basis(Matrix.from_columns(ring, columns, nrows=ambient))
 
     @classmethod
     def zero(cls, ring, ambient) -> "Submodule":
@@ -256,42 +255,50 @@ class Submodule:
 
     @property
     def dim(self) -> int:
-        """Number of basis columns (per-component tuple for glued kinds)."""
-        if self.kind in ("field", "poly"):
-            return self.basis.ncols
-        return tuple(c.dim for c in self.components)
+        """Number of basis columns (per-component tuple when glued)."""
+        if self.components:
+            return tuple(c.dim for c in self.components)
+        return self.basis.ncols
 
     rank = dim
 
+    @property
+    def column_degrees(self) -> tuple:
+        """Degree of each basis column over GF(p)[z]."""
+        return tuple(map(vector_degree, self.basis.columns()))
+
+    @property
+    def submodule(self) -> "Submodule":
+        """The presentation itself; ``PolyKernelBasis`` is another name for
+        this class."""
+        return self
+
     def size(self):
         """Number of elements; None over polynomial rings."""
-        if self.kind == "field":
-            return self.ring.p ** self.basis.ncols
-        if self.kind == "components":
-            n = 1
-            for c in self.components:
-                n *= c.size()
-            return n
-        return None
+        if self.ring.size is None:
+            return None
+        if self.components:
+            return math.prod(c.size() for c in self.components)
+        return self.ring.size ** self.basis.ncols
 
     def is_zero(self) -> bool:
-        if self.kind in ("field", "poly"):
-            return self.basis.ncols == 0
-        return all(c.is_zero() for c in self.components)
+        if self.components:
+            return all(c.is_zero() for c in self.components)
+        return self.basis.ncols == 0
 
     def is_full(self) -> bool:
-        if self.kind in ("field", "poly"):
-            return self.basis == Matrix.identity(self.ring, self.ambient)
-        return all(c.is_full() for c in self.components)
+        if self.components:
+            return all(c.is_full() for c in self.components)
+        return self.basis == Matrix.identity(self.ring, self.ambient)
 
     def generators(self) -> list:
         """Vectors over the submodule's own ring that generate it.
 
-        For glued kinds each local basis vector is lifted and multiplied by
+        When glued, each local basis vector is lifted and multiplied by
         the structural idempotent of its component, which kills the lift's
         arbitrariness in the other components.
         """
-        if self.kind in ("field", "poly"):
+        if not self.components:
             return self.basis.columns()
         split = split_ring(self.ring)
         return [split.lift(col, i) for i, comp in enumerate(self.components)
@@ -304,7 +311,7 @@ class Submodule:
         v = tuple(self.ring.normalize(e) for e in v)
         if len(v) != self.ambient:
             raise AmbientMismatchError(f"vector length {len(v)} != ambient {self.ambient}")
-        if self.kind in ("field", "poly"):
+        if not self.components:
             return self._contains_local(v)
         split = split_ring(self.ring)
         coords = []
@@ -339,20 +346,19 @@ class Submodule:
             isinstance(other, Submodule)
             and self.ring == other.ring
             and self.ambient == other.ambient
-            and self.kind == other.kind
             and self.basis == other.basis
             and self.components == other.components
         )
 
     def __hash__(self):
-        return hash((self.ring, self.ambient, self.kind, self.basis, self.components))
+        return hash((self.ring, self.ambient, self.basis, self.components))
 
     def __repr__(self):
-        if self.kind in ("field", "poly"):
+        if self.components:
             return (f"Submodule({self.ring!r}, ambient={self.ambient}, "
-                    f"rank={self.basis.ncols})")
+                    f"components={self.components!r})")
         return (f"Submodule({self.ring!r}, ambient={self.ambient}, "
-                f"components={self.components!r})")
+                f"rank={self.basis.ncols})")
 
 
 def submodule_equal(s: Submodule, t: Submodule) -> bool:

@@ -133,13 +133,15 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, ring, columns, nrows=None):
-        columns = [list(c) for c in columns]
+        columns = [tuple(c) for c in columns]
         if nrows is None:
             if not columns:
                 raise DimensionMismatchError("nrows required for an empty column list")
             nrows = len(columns[0])
-        rows = [[c[i] for c in columns] for i in range(nrows)]
-        return cls(ring, nrows, len(columns), rows)
+        for j, c in enumerate(columns):
+            if len(c) != nrows:
+                raise DimensionMismatchError(f"column {j} has length {len(c)}, not {nrows}")
+        return cls(ring, nrows, len(columns), zip(*columns) if columns else [()] * nrows)
 
     @classmethod
     def zeros(cls, ring, nrows, ncols):

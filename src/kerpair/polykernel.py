@@ -18,11 +18,9 @@ nullspace holds every kernel vector of degree <= D, is kept only as the
 saturation oracle of ``verify`` and the tests.
 """
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatchError, NotAFieldError, RingMismatchError
 from .kernel import _check_pair, _projection_pair
-from .linalg import Submodule, nullspace
+from .linalg import Submodule, nullspace, vector_degree  # noqa: F401 -- re-exported
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField
 
@@ -38,25 +36,8 @@ def matrix_degree(a: Matrix) -> int:
     return max(degs, default=0)
 
 
-def vector_degree(v) -> int:
-    degs = [len(e) - 1 for e in v if e]
-    return max(degs, default=-1)
-
-
-@dataclass(frozen=True)
-class PolyKernelBasis:
-    """Column Hermite basis of ker(A) over GF(p)[z]."""
-
-    ambient: int
-    basis: Matrix          # ambient x rank, Hermite normal form
-    rank: int
-    column_degrees: tuple
-    pivot_rows: tuple
-
-    @property
-    def submodule(self) -> Submodule:
-        return Submodule(self.basis.ring, self.ambient, "poly",
-                         basis=self.basis, pivot_rows=self.pivot_rows)
+#: Another name for ``Submodule``, which poly_kernel and hermite_basis return.
+PolyKernelBasis = Submodule
 
 
 def rank_over_fractions(a: Matrix) -> int:
@@ -106,7 +87,7 @@ def kernel_vectors_up_to(a: Matrix, bound: int) -> list:
     return vecs
 
 
-def poly_kernel(a: Matrix) -> PolyKernelBasis:
+def poly_kernel(a: Matrix) -> Submodule:
     """Hermite-form basis of {v : A v = 0} over GF(p)[z].
 
     With A U = [H | 0] and U unimodular, the trailing columns of U span
@@ -115,7 +96,7 @@ def poly_kernel(a: Matrix) -> PolyKernelBasis:
     return _kernel_of(_with_transform(a))
 
 
-def _kernel_of(reduction) -> PolyKernelBasis:
+def _kernel_of(reduction) -> Submodule:
     """poly_kernel from the reduction (H, U, pivot rows) of A."""
     h, u, _ = reduction
     return hermite_basis(Matrix.from_columns(h.ring, u.columns()[h.ncols:], nrows=u.nrows))
@@ -194,19 +175,15 @@ def hermite_form(g: Matrix) -> Matrix:
     return hermite_basis(g).basis
 
 
-def hermite_basis(g: Matrix) -> PolyKernelBasis:
+def hermite_basis(g: Matrix) -> Submodule:
     """Column Hermite basis of the column span of g, without a transform."""
     basis, _, pivots = _hermite(g.ring, g.columns(), g.nrows)
-    h = Matrix.from_columns(g.ring, basis, nrows=g.nrows)
-    return PolyKernelBasis(
-        ambient=g.nrows, basis=h, rank=h.ncols,
-        column_degrees=tuple(vector_degree(c) for c in basis),
-        pivot_rows=pivots)
+    return Submodule(g.ring, g.nrows, basis=Matrix.from_columns(g.ring, basis, nrows=g.nrows),
+                     pivot_rows=pivots)
 
 
-def kernel_via_unimodular(a: Matrix) -> Submodule:
-    """ker(A) as a submodule: an alias of poly_kernel(a).submodule."""
-    return poly_kernel(a).submodule
+#: ker(A) as a submodule: another name for poly_kernel.
+kernel_via_unimodular = poly_kernel
 
 
 def _solve_columns(reduction, cs) -> list:
@@ -216,7 +193,7 @@ def _solve_columns(reduction, cs) -> list:
     for c in cs:
         if len(c) != h.nrows:
             raise DimensionMismatchError(f"rhs length {len(c)} != {h.nrows} rows")
-    hermite = Submodule(h.ring, h.nrows, "poly", basis=h, pivot_rows=pivot_rows)
+    hermite = Submodule(h.ring, h.nrows, basis=h, pivot_rows=pivot_rows)
     pad = (h.ring.zero,) * (u.ncols - h.ncols)
     out = []
     for c in cs:
@@ -253,8 +230,7 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
 
 def _kernel_pair_reduced(a, b, reduction):
     """kernel_pair_poly(a, b) given the reduction _with_transform(a)."""
-    return _projection_pair(a, b, _kernel_of(reduction).submodule,
-                            poly_kernel(hstack(a, b)).submodule,
+    return _projection_pair(a, b, _kernel_of(reduction), poly_kernel(hstack(a, b)),
                             lambda cs: _solve_columns(reduction, cs))
 
 

@@ -415,7 +415,7 @@ class Split:
     def __init__(self, ring):
         local = PrimeField if isinstance(ring, ModRing) else PolyRing
         if not ring.square_free:
-            bad = next(p for p, k in factorize(ring.q) if k > 1)
+            bad = next(p for p in ring.primes if ring.q % (p * p) == 0)
             what = "modulus" if local is PrimeField else "coefficient modulus"
             raise NotSquareFreeError(
                 f"{ring!r} does not decompose; {what} is not square-free", prime=bad)

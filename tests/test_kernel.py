@@ -275,6 +275,17 @@ def test_oracle_rejects_a_set_that_is_not_a_submodule(q2, members, monkeypatch):
         kernel_pair_oracle(Matrix.zeros(GF5, 1, 1), Matrix.zeros(GF5, 1, q2))
 
 
+def test_oracle_error_names_the_distinct_count(monkeypatch):
+    import kerpair.kernel as kernel_mod
+
+    members = [(0,), (1,), (1,), (2,), (3,)]
+    monkeypatch.setattr(kernel_mod, "admissible_set", lambda a, b: members)
+    with pytest.raises(IdentityViolatedError) as exc:
+        kernel_pair_oracle(Matrix.zeros(GF5, 1, 1), Matrix.zeros(GF5, 1, 1))
+    assert str(exc.value) == ("oracle span has 5 elements but 4 distinct of 5 "
+                              "were enumerated")
+
+
 def test_oracle_rejects_poly():
     ring = PolyRing(2)
     with pytest.raises(NotFiniteError):

@@ -32,6 +32,17 @@ def test_shape_validation():
         Matrix(GF5, 3, 1, [[1], [2]])
 
 
+def test_from_columns_checks_column_lengths():
+    with pytest.raises(DimensionMismatchError, match="column 1 has length 3, not 2"):
+        Matrix.from_columns(GF5, [(1, 2), (1, 2, 3)], nrows=2)
+    with pytest.raises(DimensionMismatchError, match="column 0 has length 1, not 2"):
+        Matrix.from_columns(GF5, [(1,)], nrows=2)
+    with pytest.raises(DimensionMismatchError, match="column 1 has length 1, not 2"):
+        Matrix.from_columns(GF5, [(1, 2), (3,)])  # nrows read off column 0
+    assert Matrix.from_columns(GF5, [(1, 2), (3, 4)]).entries == ((1, 3), (2, 4))
+    assert Matrix.from_columns(GF5, [], nrows=2).entries == ((), ())
+
+
 def test_ring_mismatch():
     a = Matrix(GF5, 1, 1, [[1]])
     b = Matrix(PrimeField(7), 1, 1, [[1]])

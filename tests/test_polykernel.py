@@ -8,6 +8,7 @@ import kerpair.polykernel as polykernel
 from kerpair import (
     Matrix,
     NotAFieldError,
+    PolyKernelBasis,
     PolyRing,
     PrimeField,
     Submodule,
@@ -30,6 +31,7 @@ from kerpair import (
     rank_over_fractions,
     reduce_poly_matrix,
     submodule_equal,
+    vector_degree,
 )
 from kerpair.crt import kernel_pair
 
@@ -208,6 +210,18 @@ def test_hermite_matches_reference_exactly():
         assert hermite_form(g) == h
         assert rank_over_fractions(g) == len(pivots)
         assert Submodule.from_columns(g.ring, g.nrows, g.columns()) == basis.submodule
+
+
+def test_kernel_and_hermite_bases_are_submodules():
+    """poly_kernel and hermite_basis return the canonical Submodule itself:
+    PolyKernelBasis is its old name, .submodule the object, and the
+    column degrees are read off its basis."""
+    for g in _hermite_cases():
+        for kb in (poly_kernel(g), hermite_basis(g)):
+            same = Submodule.from_columns(g.ring, kb.ambient, kb.basis.columns())
+            assert isinstance(kb, PolyKernelBasis) and kb.submodule is kb
+            assert kb == same and hash(kb) == hash(same)
+            assert kb.column_degrees == tuple(map(vector_degree, kb.basis.columns()))
 
 
 def test_echelon_reduction_gives_the_hermite_witnesses():

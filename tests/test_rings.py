@@ -11,6 +11,7 @@ from kerpair import (
     ModRing,
     NotFiniteError,
     NotInvertible,
+    NotSquareFreeError,
     PolyRing,
     PrimeField,
     make_ring,
@@ -215,6 +216,18 @@ def test_split_ring_caches_each_family_apart():
     assert zmod.locals == (PrimeField(2), PrimeField(3), PrimeField(5))
     assert poly.locals == (PolyRing(2), PolyRing(3), PolyRing(5))
     assert split_ring(ModRing(30)) is zmod and split_ring(PolyRing(30)) is poly
+
+
+@pytest.mark.parametrize("ring, prime", [(ModRing(12), 2), (PolyRing(90), 3)],
+                         ids=["Z/12", "(Z/90)[z]"])
+def test_split_names_the_repeated_prime_without_factoring_again(ring, prime, monkeypatch):
+    import kerpair.rings as rings
+
+    calls = []
+    monkeypatch.setattr(rings, "factorize", lambda n: calls.append(n) or factorize(n))
+    with pytest.raises(NotSquareFreeError) as exc:
+        split_ring(type(ring)(ring.q))
+    assert exc.value.prime == prime and calls == [ring.q]
 
 
 def test_is_prime_and_factorize():
