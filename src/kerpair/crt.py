@@ -32,36 +32,14 @@ from .polykernel import kernel_pair_poly, poly_kernel, poly_solve
 from .rings import ModRing, PolyRing, PrimeField, ResidueRing, Split, is_local, split_ring
 
 
-@dataclass(frozen=True)
-class CrtDecomposition:
-    m: int
-    primes: tuple          # ascending
-    idempotents: tuple     # e_i = 1 mod primes[i], 0 mod the others
-
-    def check_laws(self) -> list:
-        """Idempotent laws, verified exactly; returns violations."""
-        m, es = self.m, self.idempotents
-        out = []
-        for i, e in enumerate(es):
-            if (e * e) % m != e:
-                out.append(f"e_{i} = {e} is not idempotent mod {m}")
-            for j, f in enumerate(es[i + 1:], start=i + 1):
-                if (e * f) % m != 0:
-                    out.append(f"e_{i} e_{j} = {(e * f) % m} != 0 mod {m}")
-            if e % self.primes[i] != 1 % self.primes[i]:
-                out.append(f"e_{i} != 1 mod {self.primes[i]}")
-            for j, p in enumerate(self.primes):
-                if j != i and e % p != 0:
-                    out.append(f"e_{i} != 0 mod {p}")
-        if sum(es) % m != 1 % m:
-            out.append(f"sum of idempotents is {sum(es) % m} != 1 mod {m}")
-        return out
+#: Another name for ``rings.Split``, the record ``idempotents`` returns.
+CrtDecomposition = Split
 
 
-def idempotents(m: int) -> CrtDecomposition:
-    """Structural idempotents of square-free m, ascending prime order."""
-    split = split_ring(ModRing(m))
-    return CrtDecomposition(m=m, primes=split.primes, idempotents=split.idempotents)
+def idempotents(m: int) -> Split:
+    """Structural idempotents of square-free m, ascending prime order: the
+    Split of Z/m, with its ``primes``, ``idempotents`` and ``check_laws``."""
+    return split_ring(ModRing(m))
 
 
 # -- local backends and the one dispatch --------------------------------------

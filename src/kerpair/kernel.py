@@ -16,14 +16,14 @@ ExactSequenceWitness with an explicit section.
 Three independent computations of ker(f1|f2) are provided (projection of
 the joint kernel, preimage of the image of f1 under f2, kernel through
 the cokernel of f1) plus a brute-force enumeration oracle for small
-finite rings.  They must all agree on the canonical presentation.
+finite rings.  They must all agree on the canonical presentation.  The
+other two take ker(f1) and ker(f1,f2) from the projection's one nullspace.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
-    ConsistencyViolatedError,
     DimensionMismatchError,
     IdentityViolatedError,
     MethodUnavailableError,
@@ -32,7 +32,7 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
-from .linalg import Submodule, _solve_columns, image, nullspace, rref
+from .linalg import Submodule, _echelon, image, nullspace, rref
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField, split_ring
 
@@ -105,39 +105,62 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _projection_pair(a: Matrix, b: Matrix, ker_f1, ker_pair, solve):
-    """ker(f1|f2) as the u-projection of the joint kernel ``ker_pair`` of
-    [A|B], with the split-sequence witness: one section column (x_u, u)
-    per ker_bar basis vector u, where ``solve(cs)`` gives, for the columns
-    c = -B u of one product, every x_u with A x_u = c at once.  The kernels
-    and ``solve`` are the local ring's: elimination over GF(p), Hermite
-    over GF(p)[z]."""
-    ring = a.ring
-    q1, q2 = a.ncols, b.ncols
-    ker_bar = _project_u(ker_pair, q1, q2)
-    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
-                              ker_bar=ker_bar, method="projection")
+def _witness(ring, q1: int, q2: int, section: Matrix) -> ExactSequenceWitness:
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
-    us, cols = ker_bar.basis, []
-    xs = solve((-(b @ us)).columns()) if us.ncols else []  # ker_bar = 0: no section
-    for u, x in zip(us.columns(), xs):
-        if x is None:
-            raise ConsistencyViolatedError(
-                f"no section witness for {u!r}, although it lies in ker(f1|f2)")
-        cols.append(x + u)
-    section = Matrix.from_columns(ring, cols, nrows=q1 + q2)
-    return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
+    return ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
+
+
+def _joint_kernel(a: Matrix, b: Matrix):
+    """(result, X): the kernel pair over GF(p) from one nullspace of [B|A],
+    whose canonical basis, rows in (u; x) order, is block lower triangular:
+    the columns with a pivot among the u-rows come first, with ker_bar's
+    canonical basis as u-parts and some x with A x = -B u for each as
+    x-parts, the columns of X; the others are 0 in u and ker_f1's canonical
+    basis in x.  ker_pair is the same vectors in (x; u) order, echeloned."""
+    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    joint = nullspace(hstack(b, a))
+    rows, pivots = joint.basis.entries, joint.pivot_rows
+    nb, k = sum(r < q2 for r in pivots), len(pivots)
+
+    def block(top, bottom, left, right):
+        return Matrix._canonical(ring, bottom - top, right - left,
+                                 [r[left:right] for r in rows[top:bottom]])
+
+    ker_bar = Submodule(ring, q2, basis=block(0, q2, 0, nb), pivot_rows=pivots[:nb])
+    ker_f1 = Submodule(ring, q1, basis=block(q2, q2 + q1, nb, k),
+                       pivot_rows=[r - q2 for r in pivots[nb:]])
+    ker_pair = _echelon(ring, q1 + q2, list(zip(*rows[q2:], *rows[:q2])))
+    return KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
+                            method="projection"), block(q2, q2 + q1, 0, nb)
+
+
+def _pin_free(ker_f1: Submodule, xs: Matrix) -> Matrix:
+    """X - N X[F]: each column x of ``xs`` moved within x + ker_f1 to the one
+    solution with x[F] = 0, as a solve of A x = c pins it.  F, A's columns
+    without a pivot in its row reduction, are those in the span of the
+    columns before them: the last nonzero positions of ker_f1, so the pivot
+    rows of its echelon basis in reversed coordinates, which read back in
+    order is the basis N with N[F] = I."""
+    ring, q1 = xs.ring, xs.nrows
+    if ker_f1.is_zero() or not xs.ncols:
+        return xs
+    rev = _echelon(ring, q1, list(zip(*ker_f1.basis.entries[::-1])))
+    n = Matrix._canonical(ring, q1, rev.dim, rev.basis.entries[::-1])
+    free = [xs.entries[q1 - 1 - r] for r in rev.pivot_rows]
+    return xs - n @ Matrix._canonical(ring, len(free), xs.ncols, free)
 
 
 def kernel_pair_projection(a: Matrix, b: Matrix):
     """ker(f1|f2) as the u-projection of the joint kernel of [A|B].
 
-    Returns the result together with the split-sequence witness.
+    Returns the result together with the split-sequence witness, A's free
+    columns pinned to 0 in its section: at most three eliminations, no solve.
     """
     _check_pair(a, b)
-    return _projection_pair(a, b, nullspace(a), nullspace(hstack(a, b)),
-                            lambda cs: _solve_columns(a, cs))
+    result, xs = _joint_kernel(a, b)
+    section = vstack(_pin_free(result.ker_f1, xs), result.ker_bar.basis)
+    return result, _witness(a.ring, a.ncols, b.ncols, section)
 
 
 def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
@@ -154,9 +177,7 @@ def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
     """ker(f1|f2) by the preimage method (``_ker_bar``), with ker_f1 and
     the joint kernel alongside."""
     _check_pair(a, b)
-    return KernelPairResult(ker_f1=nullspace(a),
-                            ker_pair=nullspace(hstack(a, b)),
-                            ker_bar=_ker_bar(a, b), method="preimage")
+    return replace(_joint_kernel(a, b)[0], ker_bar=_ker_bar(a, b), method="preimage")
 
 
 def quotient_map(a: Matrix) -> QuotientMap:
@@ -177,10 +198,7 @@ def kernel_pair_quotient(a: Matrix, b: Matrix):
     """ker(f1|f2) as ker(p1 . f2) where p1 is the quotient map N -> N/Im(f1)."""
     _check_pair(a, b)
     ker_bar, qm = _quotient_ker_bar(a, b)
-    result = KernelPairResult(ker_f1=nullspace(a),
-                              ker_pair=nullspace(hstack(a, b)),
-                              ker_bar=ker_bar, method="quotient")
-    return result, qm
+    return replace(_joint_kernel(a, b)[0], ker_bar=ker_bar, method="quotient"), qm
 
 
 _METHODS = {

@@ -120,15 +120,15 @@ def rref(a: Matrix) -> RrefResult:
     )
 
 
-def _echelon_columns(ring, ambient, vectors):
-    """Reduced column echelon basis of the span of ``vectors`` in ring^ambient.
-
-    Returns (basis columns, pivot rows).
-    """
-    if not vectors:
-        return [], ()
-    rows, pivots = _eliminate(vectors, ring.p, ambient)
-    return rows[:len(pivots)], tuple(pivots)
+def _echelon(ring, ambient, vectors) -> "Submodule":
+    """The canonical presentation of the span of ``vectors`` in
+    GF(p)^ambient, whose entries are already in [0, p): one elimination of
+    them as rows, none when there are no vectors."""
+    rows, pivots = _eliminate(vectors, ring.p, ambient) if vectors else ([], ())
+    rank = len(pivots)
+    basis = Matrix._canonical(ring, ambient, rank, zip(*rows[:rank])) if rank else \
+        Matrix.zeros(ring, ambient, 0)
+    return Submodule(ring, ambient, basis=basis, pivot_rows=pivots)
 
 
 def nullspace(a: Matrix) -> "Submodule":
@@ -234,10 +234,7 @@ class Submodule:
                 cls.from_columns(local, ambient, [split.reduce(c, i) for c in columns])
                 for i, local in enumerate(split.locals)])
         if isinstance(ring, PrimeField):
-            cols, pivots = _echelon_columns(ring, ambient, columns)
-            basis = Matrix._canonical(ring, ambient, len(cols), zip(*cols)) if cols else \
-                Matrix.zeros(ring, ambient, 0)
-            return cls(ring, ambient, basis=basis, pivot_rows=pivots)
+            return _echelon(ring, ambient, columns)
         from .polykernel import hermite_basis
 
         return hermite_basis(Matrix.from_columns(ring, columns, nrows=ambient))

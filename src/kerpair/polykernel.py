@@ -18,8 +18,13 @@ nullspace holds every kernel vector of degree <= D, is kept only as the
 saturation oracle of ``verify`` and the tests.
 """
 
-from .errors import DimensionMismatchError, NotAFieldError, RingMismatchError
-from .kernel import _check_pair, _projection_pair
+from .errors import (
+    ConsistencyViolatedError,
+    DimensionMismatchError,
+    NotAFieldError,
+    RingMismatchError,
+)
+from .kernel import KernelPairResult, _check_pair, _project_u, _witness
 from .linalg import Submodule, nullspace, vector_degree  # noqa: F401 -- re-exported
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField
@@ -229,9 +234,21 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
 
 
 def _kernel_pair_reduced(a, b, reduction):
-    """kernel_pair_poly(a, b) given the reduction _with_transform(a)."""
-    return _projection_pair(a, b, _kernel_of(reduction), poly_kernel(hstack(a, b)),
-                            lambda cs: _solve_columns(reduction, cs))
+    """kernel_pair_poly(a, b) given the reduction _with_transform(a): ker_bar
+    is the u-projection of the joint kernel of [A|B], and the section has
+    one column (x_u, u) per ker_bar basis vector u, every x_u with
+    A x_u = -B u read off the reduction at once."""
+    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    ker_f1, ker_pair = _kernel_of(reduction), poly_kernel(hstack(a, b))
+    ker_bar = _project_u(ker_pair, q1, q2)
+    us = ker_bar.basis
+    xs = _solve_columns(reduction, (-(b @ us)).columns()) if us.ncols else []
+    if None in xs:
+        raise ConsistencyViolatedError(f"no section witness for {us.column(xs.index(None))!r}, "
+                                       "although it lies in ker(f1|f2)")
+    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
+                              ker_bar=ker_bar, method="projection")
+    return result, _witness(ring, q1, q2, vstack(Matrix.from_columns(ring, xs, nrows=q1), us))
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

@@ -407,10 +407,10 @@ class Split:
     polynomials); ``lift`` carries a local vector back, multiplied by the
     structural idempotent e_i so that it vanishes in every other factor;
     ``glue`` sums the lifts, the inverse of reducing at every prime, and
-    is the one CRT combiner.
+    is the one CRT combiner; ``check_laws`` verifies the idempotents.
     """
 
-    __slots__ = ("ring", "primes", "locals", "idempotents")
+    __slots__ = ("ring", "primes", "m", "locals", "idempotents")
 
     def __init__(self, ring):
         local = PrimeField if isinstance(ring, ModRing) else PolyRing
@@ -419,9 +419,10 @@ class Split:
             what = "modulus" if local is PrimeField else "coefficient modulus"
             raise NotSquareFreeError(
                 f"{ring!r} does not decompose; {what} is not square-free", prime=bad)
-        self.ring, self.primes, m = ring, ring.primes, ring.q
+        self.ring, self.primes, self.m = ring, ring.primes, ring.q
         self.locals = tuple(local(p) for p in self.primes)
         # e_i = (m/p_i) * ((m/p_i)^-1 mod p_i): 1 mod p_i, 0 mod every other prime
+        m = self.m
         es = tuple(m // p * pow(m // p, -1, p) % m for p in self.primes)
         self.idempotents = es if local is PrimeField else tuple((e,) for e in es)
 
@@ -439,6 +440,25 @@ class Split:
     def glue(self, parts) -> tuple:
         lifted = [self.lift(v, i) for i, v in enumerate(parts)]
         return tuple(functools.reduce(self.ring.add, col) for col in zip(*lifted))
+
+    def check_laws(self) -> list:
+        """The idempotent laws of this split, verified exactly; returns
+        violations: e_i e_j is e_i when i = j and 0 otherwise, e_i is 1 mod
+        p_i and 0 mod every other prime, and the e_i sum to 1."""
+        ring, es, fmt, m = self.ring, self.idempotents, self.ring.format, self.m
+        out = []
+        for i, e in enumerate(es):
+            if ring.mul(e, e) != e:
+                out.append(f"e_{i} = {fmt(e)} is not idempotent mod {m}")
+            for j, f in enumerate(es[i + 1:], start=i + 1):
+                if (ef := ring.mul(e, f)) != ring.zero:
+                    out.append(f"e_{i} e_{j} = {fmt(ef)} != 0 mod {m}")
+            for j, (p, local) in enumerate(zip(self.primes, self.locals)):
+                if local.normalize(e) != (local.one if i == j else local.zero):
+                    out.append(f"e_{i} != {int(i == j)} mod {p}")
+        if (total := functools.reduce(ring.add, es)) != ring.one:
+            out.append(f"sum of idempotents is {fmt(total)} != 1 mod {m}")
+        return out
 
 
 def is_local(ring) -> bool:

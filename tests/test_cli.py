@@ -707,6 +707,21 @@ def test_verify_catches_a_lift_with_the_next_idempotent(monkeypatch):
     assert "base-change: FAIL" in text
 
 
+def test_idempotent_laws_check_the_split_the_glue_used(monkeypatch):
+    """Over (Z/m)[z] the glue runs on the PolyRing split; a fault in its
+    idempotents (here e_0 and e_1 swapped) fails the idempotent-laws row,
+    which a freshly built Z/m split would not show."""
+    from kerpair import PolyRing
+    from kerpair.rings import split_ring
+
+    split = split_ring(PolyRing(30))
+    es = split.idempotents
+    monkeypatch.setattr(split, "idempotents", (es[1], es[0]) + es[2:])
+    code, text = run_cli(["verify", str(GOLDEN_IN / "polygf30.txt"), "A", "B"])
+    assert code == 1
+    assert "idempotent-laws: FAIL e_0 != 1 mod 2" in text
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 @pytest.mark.parametrize("command", [["verify"], ["kernel-pair", "--verify"]])
 def test_trials_below_one_is_a_usage_error(gf_file, command, trials, capsys):
@@ -788,13 +803,13 @@ def test_verify_runs_one_projection_kernel_pair(gf_file, monkeypatch):
     import kerpair.kernel as kernel_mod
 
     calls = []
-    real = kernel_mod._projection_pair
+    real = kernel_mod._joint_kernel
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(kernel_mod, "_projection_pair", counted)
+    monkeypatch.setattr(kernel_mod, "_joint_kernel", counted)
     code, _ = run_cli(["verify", gf_file, "A", "B", "--trials", "1"])
     assert code == 0
     assert len(calls) == 1

@@ -1,14 +1,14 @@
 """The field elimination kernel against reference Gauss-Jordan eliminations.
 
-``rref``, ``nullspace``, ``solve``, the section solves of
-``kernel_pair_projection`` and ``Submodule.from_columns`` all run on
-one private elimination,
-``linalg._eliminate``, over packed rows.  Two references are kept here
+``rref``, ``nullspace``, ``solve``, ``kernel_pair_projection`` and
+``Submodule.from_columns`` all run on one private elimination,
+``linalg._eliminate``, over packed rows.  Three references are kept here
 unchanged: ``ref_rref``, the ring-method elimination those functions
-replaced, and ``ref_eliminate``, the elimination on lists of ints with
+replaced, ``ref_eliminate``, the elimination on lists of ints with
 inline ``% p`` (XOR on bit-packed rows over GF(2)) that the packed rows
-replaced.  Results must be equal exactly, transform and witnesses
-included.
+replaced, and ``ref_kernel_pair``, the four-elimination kernel pair that
+the one echelon of ker[B|A] replaced.  Results must be equal exactly,
+transform and witnesses included.
 """
 
 import random
@@ -37,13 +37,15 @@ from kerpair.cli import (
     parse_matrix_file,
 )
 from kerpair.crt import kernel_pair
-from kerpair.kernel import Automorphism, check_identities, kernel_pair_projection
+from kerpair.kernel import Automorphism, _project_u, check_identities, kernel_pair_projection
 from kerpair.linalg import random_invertible
+from kerpair.matrix import hstack
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 #: slots of 1 to 17 bytes; entries of 2**16 + 1 need 3 bytes; the largest
 #: prime below 2**62 is 2**62 - 57
 ELIMINATION_PRIMES = (2, 3, 5, 101, 2**16 + 1, 2**31 - 1, 2**61 - 1, 2**62 - 57)
+KERNEL_PAIR_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
 
 
 # -- reference: elimination on lists of ints ---------------------------------
@@ -168,6 +170,31 @@ def ref_solve(a, b):
     return tuple(x)
 
 
+def ref_kernel_pair(a, b):
+    """(ker_f1, ker_pair, ker_bar, section) by four eliminations: ker_f1
+    and the joint kernel each one nullspace, ker_bar the u-projection of
+    the joint kernel, and the section x_u one batched solve of
+    A x = -B u, A's free columns pinned to zero."""
+    q1, q2 = a.ncols, b.ncols
+    ker_f1, ker_pair = nullspace(a), nullspace(hstack(a, b))
+    ker_bar = _project_u(ker_pair, q1, q2)
+    us = ker_bar.basis
+    xs = linalg._solve_columns(a, (-(b @ us)).columns()) if us.ncols else []
+    section = Matrix.from_columns(a.ring, [x + u for x, u in zip(xs, us.columns())],
+                                  nrows=q1 + q2)
+    return ker_f1, ker_pair, ker_bar, section
+
+
+def assert_kernel_pair_like_reference(a, b):
+    result, witness = kernel_pair_projection(a, b)
+    got = (result.ker_f1, result.ker_pair, result.ker_bar)
+    ref_f1, ref_pair, ref_bar, ref_section = ref_kernel_pair(a, b)
+    assert got == (ref_f1, ref_pair, ref_bar)
+    assert [s.pivot_rows for s in got] == [s.pivot_rows for s in (ref_f1, ref_pair, ref_bar)]
+    assert witness.section == ref_section
+    return result
+
+
 # -- instances --------------------------------------------------------------
 
 
@@ -210,6 +237,14 @@ def systems(draw):
     return a, b, us
 
 
+@st.composite
+def pairs(draw):
+    """(A, B) sharing their rows over GF(p), p up to 2**61 - 1."""
+    p = draw(st.sampled_from(KERNEL_PAIR_PRIMES))
+    a = draw(matrices(p=p))
+    return a, draw(matrices(p=p, nrows=a.nrows))
+
+
 def section_solves(a, b):
     """(u, x_u) for each section column (x_u, u) of kernel_pair_projection."""
     _, witness = kernel_pair_projection(a, b)
@@ -245,6 +280,53 @@ def test_solve_matches_reference(system, data):
         assert solve(a, rhs) == ref_solve(a, rhs)
     for u, x in section_solves(a, b):
         assert x == ref_solve(a, (-b).matvec(u))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs())
+def test_kernel_pair_matches_reference(pair):
+    assert_kernel_pair_like_reference(*pair)
+
+
+def _seeded_pairs(p, rng):
+    """(name, A, B, what must hold) over GF(p): the edge shapes, then
+    8x(6+8) and 24x(12+24) pairs with A of rank q1/2 and a quarter of B's
+    columns in Im A, as the benchmark draws them."""
+    ring = PrimeField(p)
+
+    def draw(nrows, ncols, rank=None):
+        if rank is None:
+            return Matrix(ring, nrows, ncols,
+                          [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)])
+        return draw(nrows, rank) @ draw(rank, ncols) if rank else Matrix.zeros(ring, nrows, ncols)
+
+    def unit_columns(g, cols):
+        return g @ Matrix.from_columns(ring, [tuple(int(i == c) for i in range(6))
+                                              for c in cols], nrows=6)
+
+    a = draw(6, 5, 3)
+    g = random_invertible(ring, 6, rng)
+    yield "A n x 0", Matrix.zeros(ring, 4, 0), draw(4, 3), lambda r: r.ker_f1.ambient == 0
+    yield "q2 = 0", a, Matrix.zeros(ring, 6, 0), lambda r: r.ker_bar.ambient == 0
+    yield "0 rows", Matrix.zeros(ring, 0, 3), Matrix.zeros(ring, 0, 2), \
+        lambda r: r.ker_bar.is_full() and r.ker_f1.is_full()
+    yield "A = 0", Matrix.zeros(ring, 4, 3), draw(4, 3), lambda r: r.ker_f1.is_full()
+    yield "B in Im A", a, a @ draw(5, 4), lambda r: r.ker_bar.is_full()
+    yield "ker_f1 = 0", unit_columns(g, [0, 1]), draw(6, 5), lambda r: r.ker_f1.is_zero()
+    yield "ker_bar = 0", hstack(unit_columns(g, [0]), unit_columns(g, [0])), \
+        unit_columns(g, [1, 2]), lambda r: r.ker_bar.is_zero() and not r.ker_f1.is_zero()
+    for rows, q1, q2 in ((8, 6, 8), (24, 12, 24)):
+        a = draw(rows, q1, q1 // 2)
+        inside = a @ draw(q1, q2 // 4)
+        b = hstack(inside, draw(rows, q2 - q2 // 4))
+        yield f"{rows}x({q1}+{q2})", a, b, \
+            lambda r: not (r.ker_f1.is_zero() or r.ker_bar.is_zero())
+
+
+@pytest.mark.parametrize("p", KERNEL_PAIR_PRIMES)
+def test_kernel_pair_matches_reference_on_edge_shapes(p):
+    for name, a, b, holds in _seeded_pairs(p, random.Random(p)):
+        assert holds(assert_kernel_pair_like_reference(a, b)), name
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -362,7 +444,9 @@ def _pair(p, inside, rng):
 @pytest.mark.parametrize("p", [2, 101])
 def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
     """A field kernel pair runs a fixed number of eliminations, whatever
-    dim ker_bar is; the section is one batched solve, not one per column."""
+    dim ker_bar is: the nullspace of [B|A], the echelon of ker_pair and,
+    when ker_f1 != 0, one of ker_f1 to pin the section; nothing per
+    column."""
     calls = []
     real = linalg._eliminate
 
@@ -380,14 +464,14 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
         dims.append(result.ker_bar.dim)
         assert witness.section.ncols == result.ker_bar.dim
     assert dims[1] - dims[0] >= 10
-    assert counts[0] == counts[1] <= 6
+    assert counts[0] == counts[1] <= 3
 
 
 def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
-    """With ker(f1|f2) = 0 there is no section column to solve for, so a
-    field kernel pair eliminates A and [A|B] only, not A a second time."""
+    """With ker(f1|f2) = 0 there is no section column to pin, so a field
+    kernel pair eliminates [B|A] and, when that kernel is not 0, echelons
+    ker_pair; it never echelons ker_f1 for the section."""
     ring = PrimeField(7)
-    a = Matrix(ring, 3, 1, [[1], [0], [0]])
     b = Matrix(ring, 3, 1, [[0], [1], [0]])
     calls = []
     real = linalg._eliminate
@@ -397,10 +481,13 @@ def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
-    result, witness = kernel_pair_projection(a, b)
-    assert result.ker_bar.is_zero()
-    assert (witness.section.nrows, witness.section.ncols) == (2, 0)
-    assert len(calls) == 2
+    for a, eliminations in ((Matrix(ring, 3, 1, [[1], [0], [0]]), 1),
+                            (Matrix(ring, 3, 2, [[1, 1], [0, 0], [0, 0]]), 2)):
+        calls.clear()
+        result, witness = kernel_pair_projection(a, b)
+        assert result.ker_bar.is_zero() and result.ker_f1.dim == a.ncols - 1
+        assert (witness.section.nrows, witness.section.ncols) == (a.ncols + 1, 0)
+        assert len(calls) == eliminations
 
 
 def test_eliminations_per_identity_check(monkeypatch):

@@ -21,7 +21,6 @@ from kerpair import (
     Trajectory,
     admissible,
     kernel_pair_poly,
-    kernel_pair_projection,
 )
 from kerpair.cli import main, verify_instance
 
@@ -55,13 +54,17 @@ def run(tmp_path, text, argv):
     return main([str(files.get(a, a)) for a in argv], out=io.StringIO())
 
 
-def test_missing_field_witness(tmp_path, monkeypatch):
-    monkeypatch.setattr(kerpair.kernel, "_solve_columns", lambda a, cs: [None] * len(cs))
+def test_corrupted_field_section_fails_verify(tmp_path, monkeypatch):
+    """A field section is read off the joint kernel, with no solve that
+    can fail; a wrong one (here x_u negated) is a ``splitting-witness``
+    violation of verify (exit 1)."""
+    monkeypatch.setattr(kerpair.kernel, "_pin_free", lambda ker_f1, xs: -xs)
     a = Matrix(PrimeField(5), 2, 1, [[1], [0]])
     b = Matrix(PrimeField(5), 2, 2, [[1, 0], [0, 0]])
-    with pytest.raises(ConsistencyViolatedError):
-        kernel_pair_projection(a, b)
-    assert run(tmp_path, GF_FILE, ["kernel-pair", "FILE", "A", "B"]) == 2
+    checks = dict(verify_instance(a, b))
+    assert checks["splitting-witness"]
+    assert not any(v for name, v in checks.items() if name != "splitting-witness")
+    assert run(tmp_path, GF_FILE, ["verify", "FILE", "A", "B"]) == 1
 
 
 def test_missing_poly_witness(tmp_path, monkeypatch):
