@@ -3,8 +3,8 @@
 An input sequence is admissible when some state trajectory makes the
 recursion hold.  The bi-infinite behavior is modeled here by three
 finite boundary regimes (free initial state, fixed initial state,
-periodic of order T); codeword_consistency ties the dynamical picture
-to the polynomial one through the pencil zI - A over GF(p)[z].
+periodic of order T); codeword_consistency checks the dynamics against
+ker(zI - A | B) over GF(p)[z], whose index is the reachable subspace.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,7 @@ from .errors import (
 )
 from .kernel import ORACLE_LIMIT, _solve_by_enumeration
 from .matrix import Matrix, hstack
+from .polykernel import kernel_pair_poly
 from .rings import ModRing, PolyRing, PrimeField
 
 
@@ -140,6 +141,8 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     inputs = tuple(_normalize(ring, u, sys.m, "input") for u in query.inputs)
     ab = hstack(sys.a, sys.b)
     zero_state = (ring.zero,) * sys.n
+    if query.x0 is not None and query.boundary in ("free", "periodic"):
+        raise ValueError(f"x0 is only for the fixed boundary, not {query.boundary!r}")
     if query.boundary == "free":
         return _run(ab, zero_state, inputs)
     if query.boundary == "fixed":
@@ -168,49 +171,57 @@ def pencil(sys: SystemPair) -> tuple:
     if not isinstance(sys.ring, PrimeField):
         raise NotAFieldError(f"pencil needs a prime field, got {sys.ring!r}")
     ring = PolyRing(sys.ring.p)
-    z, n = ring.z, sys.n
-    entries = [[ring.sub(z if i == j else ring.zero,
-                         ring.constant(sys.a.entries[i][j]))
-                for j in range(n)] for i in range(n)]
-    bp = sys.b.map_entries(ring.constant, ring=ring)
-    return Matrix(ring, n, n, entries), bp
+    a, b = (m.map_entries(ring.constant, ring=ring) for m in (sys.a, sys.b))
+    return Matrix.identity(ring, sys.n).scale(ring.z) - a, b
+
+
+def _reachable(sys: SystemPair) -> tuple:
+    """(dim R, chi): R the reachable subspace and chi the characteristic
+    polynomial of A on R, by scalar solves.  Each column b of B extends the
+    basis by b, A b, ... until A^k b lies in the span; A^k b's coordinates
+    on the new vectors give b's minimal polynomial modulo the old span, an
+    A-invariant one, so chi is the product of these polynomials."""
+    ring, n = PolyRing(sys.ring.p), sys.n
+    basis, chi = [], ring.one
+    for v in sys.b.columns():
+        new = []
+        while (coords := solve(Matrix.from_columns(sys.ring, basis + new, nrows=n), v)) is None:
+            new.append(v)
+            v = sys.a.matvec(v)
+        chi = ring.mul(chi, ring.normalize([-c for c in coords[len(basis):]] + [1]))
+        basis += new
+    return len(basis), chi
 
 
 def codeword_consistency(sys: SystemPair) -> list:
     """Cross-check the dynamical and polynomial pictures; returns violations.
 
-    Over GF(p)[z] the pencil zI - A has zero kernel (monic determinant),
-    the joint and relative kernels have equal rank, and every admissible
-    u(z) of degree <= 4 must admit a polynomial state witness.
-    Witness existence is linear in u, so checking it on the z-shifted
-    Hermite generators covers every bounded-degree member; the reduction
-    of zI - A that the kernel pair reads answers all of them.
-    """
-    from .polykernel import _kernel_pair_reduced, _solve_columns, _with_transform
-
+    ker(zI - A | B) over GF(p)[z] holds the input sequences that take the
+    zero state back to zero (Kalman, Ho & Narendra 1963; Willems 1991), so:
+    zI - A has zero kernel; the joint and relative kernels have equal rank;
+    each section column, and by linearity its every z-shift, solves
+    (zI - A) x + B u = 0; each ker_bar generator, fed in reverse, drives
+    ``simulate`` from 0 back to 0; ker_bar's Hermite pivots multiply to
+    the chi of ``_reachable``."""
     p_matrix, b_poly = pencil(sys)
-    ring = p_matrix.ring
+    ring, n = p_matrix.ring, sys.n
+    result, witness = kernel_pair_poly(p_matrix, b_poly)
     out = []
-    reduction = _with_transform(p_matrix)
-    result, _ = _kernel_pair_reduced(p_matrix, b_poly, reduction)
     if result.ker_f1.rank != 0:
         out.append("pencil zI - A has a nonzero kernel")
     if result.ker_pair.rank != result.ker_bar.rank:
-        out.append(
-            f"rank ker(zI-A, B) = {result.ker_pair.rank} != "
-            f"rank ker(zI-A | B) = {result.ker_bar.rank}")
-    shifts = []
-    for j, col in enumerate(result.ker_bar.basis.columns()):
-        top = max(4 - max(len(e) - 1 for e in col if e), 0)
-        for k in range(top + 1):
-            shifted = tuple(ring.mul(e, (0,) * k + (1,)) for e in col)
-            shifts.append((j, k, b_poly.matvec(shifted)))
-    xs = _solve_columns(reduction, [tuple(map(ring.neg, bu)) for _, _, bu in shifts])
-    for (j, k, bu), x in zip(shifts, xs):
-        if x is None:
-            out.append(f"generator {j} shifted by z^{k} lost its witness")
-            continue
-        residual = tuple(ring.add(s, t) for s, t in zip(p_matrix.matvec(x), bu))
-        if any(e != ring.zero for e in residual):
-            out.append(f"witness for generator {j} shifted by z^{k} fails")
+        out.append(f"rank ker(zI-A, B) = {result.ker_pair.rank} != "
+                   f"rank ker(zI-A | B) = {result.ker_bar.rank}")
+    for j, col in enumerate(witness.section.columns()):
+        if any(map(ring.add, p_matrix.matvec(col[:n]), b_poly.matvec(col[n:]))):
+            out.append(f"section column {j} fails (zI - A) x + B u = 0")
+    det, ker_bar = ring.one, result.ker_bar
+    for j, (u, r) in enumerate(zip(ker_bar.basis.columns(), ker_bar.pivot_rows)):
+        det = ring.mul(det, u[r])
+        inputs = [tuple(e[k] if k < len(e) else 0 for e in u)
+                  for k in reversed(range(max(map(len, u))))]
+        if any(simulate(sys, (0,) * n, inputs).states[-1]):
+            out.append(f"generator {j}, fed in reverse, does not return the state to 0")
+    if det != (chi := _reachable(sys)[1]):
+        out.append(f"det ker_bar {ring.format(det)} != reachable charpoly {ring.format(chi)}")
     return out

@@ -224,21 +224,15 @@ def poly_solve(a: Matrix, c) -> tuple | None:
 def kernel_pair_poly(a: Matrix, b: Matrix):
     """ker(f1|f2) over GF(p)[z] with its split-sequence witness.
 
-    ker_bar is the Hermite form of the u-block of the joint kernel
-    basis; exactness of the projection means those generators already
+    ker_bar is the Hermite form of the u-projection of the joint kernel
+    of [A|B]; exactness of the projection means those generators already
     span ker(A|B), no saturation pass needed.  One reduction of A gives
-    both ker_f1 and every section solve.
+    ker_f1 and the section: one column (x_u, u) per ker_bar basis vector
+    u, every x_u with A x_u = -B u read off that reduction at once.
     """
     _check_pair(a, b)
-    return _kernel_pair_reduced(a, b, _with_transform(a))
-
-
-def _kernel_pair_reduced(a, b, reduction):
-    """kernel_pair_poly(a, b) given the reduction _with_transform(a): ker_bar
-    is the u-projection of the joint kernel of [A|B], and the section has
-    one column (x_u, u) per ker_bar basis vector u, every x_u with
-    A x_u = -B u read off the reduction at once."""
     ring, q1, q2 = a.ring, a.ncols, b.ncols
+    reduction = _with_transform(a)
     ker_f1, ker_pair = _kernel_of(reduction), poly_kernel(hstack(a, b))
     ker_bar = _project_u(ker_pair, q1, q2)
     us = ker_bar.basis

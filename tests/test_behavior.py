@@ -1,8 +1,12 @@
+import dataclasses
+import functools
 import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerpair import (
     AdmissibleInputQuery,
@@ -13,6 +17,7 @@ from kerpair import (
     OracleTooLargeError,
     PolyRing,
     PrimeField,
+    Submodule,
     SystemPair,
     Trajectory,
     admissible,
@@ -22,8 +27,10 @@ from kerpair import (
     random_matrix,
     rref,
     simulate,
+    vector_degree,
 )
-from kerpair.behavior import _matrix_power
+from kerpair import behavior
+from kerpair.behavior import _matrix_power, _reachable
 
 GF2, GF3 = PrimeField(2), PrimeField(3)
 
@@ -193,6 +200,13 @@ def test_unknown_boundary_rejected():
         admissible(delay_system(), AdmissibleInputQuery((), "wrap"))
 
 
+@pytest.mark.parametrize("boundary", ["free", "periodic"])
+def test_x0_outside_the_fixed_boundary_rejected(boundary):
+    query = AdmissibleInputQuery(((1,),), boundary, x0=(1, 1))
+    with pytest.raises(ValueError, match=repr(boundary)):
+        admissible(delay_system(), query)
+
+
 @pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30), ModRing(8), PolyRing(5)],
                          ids=repr)
 def test_matrix_power_is_the_repeated_product(ring):
@@ -292,8 +306,8 @@ def test_codeword_consistency_fixtures():
 
 
 def test_codeword_consistency_reduces_the_pencil_once(monkeypatch):
-    """zI - A is reduced once with a transform, for the kernel pair and
-    the shifted-generator solves alike; [zI - A | B] is the other one."""
+    """zI - A is reduced once with a transform, for ker_f1 and the section
+    solves alike; [zI - A | B] is the other one."""
     import kerpair.polykernel as polykernel
 
     reduced, real = [], polykernel._with_transform
@@ -313,3 +327,92 @@ def test_codeword_consistency_randoms():
             sys = SystemPair(random_matrix(ring, n, n, rng),
                              random_matrix(ring, n, m, rng))
             assert codeword_consistency(sys) == []
+
+
+GF5_CONTROLLABLE = SystemPair(
+    Matrix(PrimeField(5), 4, 4, [[4, 2, 2, 4], [0, 3, 1, 0], [1, 0, 2, 3], [1, 3, 4, 0]]),
+    Matrix(PrimeField(5), 4, 2, [[4, 1], [0, 1], [3, 2], [1, 3]]))
+# reachable subspace = the first two coordinates, where A acts as [[0, 1], [3, 4]]
+GF7_TRIANGULAR = SystemPair(
+    Matrix(PrimeField(7), 4, 4, [[0, 1, 2, 3], [3, 4, 5, 6], [0, 0, 1, 2], [0, 0, 6, 5]]),
+    Matrix(PrimeField(7), 4, 2, [[1, 2], [0, 3], [0, 0], [0, 0]]))
+
+
+def kalman_rank(sys):
+    """The rank of [B  A B  ...  A^(n-1) B]."""
+    blocks = [sys.b]
+    for _ in range(sys.n - 1):
+        blocks.append(sys.a @ blocks[-1])
+    return rref(functools.reduce(hstack, blocks)).rank
+
+
+def test_reachable_fixtures():
+    assert _reachable(GF5_CONTROLLABLE) == (4, (1, 3, 3, 1, 1))
+    # chi of [[0, 1], [3, 4]] over GF(7): z^2 - 4 z - 3
+    assert _reachable(GF7_TRIANGULAR) == (2, (4, 3, 1))
+    assert _reachable(delay_system()) == (2, (0, 0, 1))
+    sys0 = SystemPair(Matrix(GF2, 1, 1, [[1]]), Matrix.zeros(GF2, 1, 1))
+    assert _reachable(sys0) == (0, (1,))
+
+
+def mutated_kernel_pair(fault):
+    """kernel_pair_poly with one fault: ker_bar's first generator scaled by
+    z, dropped, or with its top coefficient raised by 1, or the x-part of
+    the section's first column corrupted."""
+    real = behavior.kernel_pair_poly
+
+    def kernel_pair_poly(a, b):
+        result, witness = real(a, b)
+        ring, bar = a.ring, result.ker_bar
+        if fault == "section":
+            cols = witness.section.columns()
+            cols[0] = (ring.add(cols[0][0], ring.one),) + cols[0][1:]
+            section = Matrix.from_columns(ring, cols, nrows=witness.section.nrows)
+            return result, dataclasses.replace(witness, section=section)
+        cols, pivots = bar.basis.columns(), bar.pivot_rows
+        if fault == "scale":
+            cols[0] = tuple(ring.mul(ring.z, e) for e in cols[0])
+        elif fault == "drop":
+            cols, pivots = cols[1:], pivots[1:]
+        else:
+            d = vector_degree(cols[0])
+            i = next(i for i, e in enumerate(cols[0]) if len(e) == d + 1)
+            cols[0] = cols[0][:i] + (ring.add(cols[0][i], (0,) * d + (1,)),) + cols[0][i + 1:]
+        bar = Submodule(ring, bar.ambient, pivot_rows=pivots,
+                        basis=Matrix.from_columns(ring, cols, nrows=bar.ambient))
+        return dataclasses.replace(result, ker_bar=bar), witness
+
+    return kernel_pair_poly
+
+
+@pytest.mark.parametrize("sys", [GF5_CONTROLLABLE, GF7_TRIANGULAR], ids=["GF(5)", "GF(7)"])
+@pytest.mark.parametrize("fault", ["scale", "drop", "top", "section"])
+def test_codeword_consistency_catches_a_faulty_kernel_pair(monkeypatch, sys, fault):
+    assert codeword_consistency(sys) == []
+    monkeypatch.setattr(behavior, "kernel_pair_poly", mutated_kernel_pair(fault))
+    assert codeword_consistency(sys) != []
+
+
+@st.composite
+def systems(draw):
+    """Systems over GF(2) ... GF(101) with n <= 8 and m <= 3; half of them
+    block triangular, A = [[A11, A12], [0, A22]] and B = [B1; 0], whose
+    reachable subspace lies in the first k coordinates."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 101)))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    a = [[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
+    b = [[draw(st.integers(0, p - 1)) for _ in range(m)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        for i in range(k, n):
+            a[i][:k] = [0] * k
+            b[i] = [0] * m
+    return SystemPair(Matrix(PrimeField(p), n, n, a), Matrix(PrimeField(p), n, m, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_reachability_identity(sys):
+    dim, chi = _reachable(sys)
+    assert dim == kalman_rank(sys) == len(chi) - 1
+    assert codeword_consistency(sys) == []

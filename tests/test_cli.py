@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -846,3 +847,60 @@ JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
     st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=20))
 def test_json_writer_matches_json_dumps(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2)
+
+
+# -- fuzz guard: mutated golden inputs ----------------------------------------
+
+GOLDEN_IN = Path(__file__).resolve().parent / "golden" / "in"
+#: a member vector each golden matrix file's B accepts in shape
+FUZZ_VECTORS = {"gf5": "1,4", "zmod30": "6,7", "zmod12": "3", "polygf5": "[2,3],[0]",
+                "polygf30": "[0]"}
+FUZZ_TOKENS = ("0", "1", "2", "3", "4", "6", "-1", "7", "30", "99", "[0,1]", "[1]", "[2,0,1]",
+               "[]", "[", "]", "[1,", "1.5", "x", "#", "A", "B", "matrix", "gf", "polygf")
+
+
+def mutate_lines(rng, lines, pool):
+    """``lines`` after one or two edits drawn from ``rng``: mostly a token
+    replaced by another of the file or by one of FUZZ_TOKENS, else a line
+    deleted, inserted from ``pool`` or swapped with another."""
+    tokens_pool = FUZZ_TOKENS + tuple(t for line in lines for t in line.split())
+    lines = list(lines)
+    for _ in range(rng.choice((1, 1, 2))):
+        kind, i = rng.randrange(10), rng.randrange(len(lines))
+        if kind < 6:
+            tokens = lines[i].split() or [""]
+            tokens[rng.randrange(len(tokens))] = rng.choice(tokens_pool)
+            lines[i] = " ".join(tokens)
+        elif kind < 7:
+            del lines[i]
+        elif kind < 8:
+            lines.insert(i, rng.choice(pool))
+        else:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def test_cli_survives_mutated_golden_inputs(tmp_path):
+    """300 seeded mutations of the golden matrix files: kernel, kernel-pair,
+    member and verify each exit 0, 1 or 2 without an escaping exception,
+    and the parser either returns or raises a MatrixParseError that names
+    its line."""
+    rng = random.Random(2016)
+    files = {path.stem: path.read_text().splitlines()
+             for path in sorted(GOLDEN_IN.glob("*.txt"))}
+    pool = [line for lines in files.values() for line in lines]
+    commands = (["kernel", "FILE", "A"], ["kernel-pair", "FILE", "A", "B"],
+                ["member", "FILE", "A", "B", None], ["verify", "FILE", "A", "B", "--trials", "1"])
+    for k in range(300):
+        stem = rng.choice(sorted(FUZZ_VECTORS))
+        text = "\n".join(mutate_lines(rng, files[stem], pool)) + "\n"
+        try:
+            parse_matrix_file(text)
+        except MatrixParseError as exc:
+            assert exc.line is not None, (text, exc)
+        path = tmp_path / f"{k}.txt"
+        path.write_text(text)
+        for command in commands:
+            argv = [str(path) if a == "FILE" else a or FUZZ_VECTORS[stem] for a in command]
+            assert main(argv, out=io.StringIO()) in (0, 1, 2), (argv, text)

@@ -1,11 +1,16 @@
-"""Rank, rref and nullspace over GF(p) against sympy's DomainMatrix.
+"""Rank, rref and nullspace over GF(p), and rank and kernel over GF(p)[z],
+against sympy's DomainMatrix.
 
 sympy is an outside implementation of the same exact arithmetic, so
 agreement here does not depend on any code of this package.  Tier-1 runs
-small Hypothesis matrices and fixed shapes up to 60x90; with
-``KERPAIR_LARGE=1`` the fixed shapes go up to 200x400 (minutes: sympy
-takes about 40 s for one 200x400 rref over GF(101)).
+small Hypothesis matrices and fixed shapes up to 60x90 over GF(p), and
+polynomial shapes up to 6x8 over GF(p)[z]; with ``KERPAIR_LARGE=1`` the
+fixed shapes go up to 200x400 and 10x14 (minutes: sympy takes about 40 s
+for one 200x400 rref over GF(101), and about a second for one 8x10
+nullspace over GF(p)(z)).
 """
+
+import functools
 
 import os
 import random
@@ -17,7 +22,16 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from kerpair import Matrix, PrimeField, nullspace, rref  # noqa: E402
+from kerpair import (  # noqa: E402
+    Matrix,
+    PolyRing,
+    PrimeField,
+    nullspace,
+    poly_kernel,
+    random_matrix,
+    rank_over_fractions,
+    rref,
+)
 
 PRIMES = (2, 3, 5, 101, 2**31 - 1, 2**61 - 1, 2**62 - 57)
 
@@ -95,3 +109,68 @@ def test_shapes(p, nrows, ncols, rank):
 def test_large_shapes(p, nrows, ncols, rank):
     rows = low_rank(random.Random(f"{p}/{nrows}/{ncols}"), p, nrows, ncols, rank)
     assert_agrees_with_sympy(rows, nrows, ncols, p)
+
+
+# GF(p)[z]: (p, rows, columns, rank of the L R product or None, entry degree)
+POLY_SHAPES = [
+    (2, 4, 6, None, 2),
+    (2, 5, 8, 2, 1),
+    (3, 3, 5, None, 2),
+    (3, 6, 8, 3, 1),
+    (5, 4, 7, 2, 2),
+    (5, 6, 8, None, 1),
+    (101, 5, 7, 3, 1),
+    (101, 6, 6, 4, 1),
+]
+LARGE_POLY_SHAPES = [
+    (2, 8, 12, 5, 1),
+    (5, 8, 10, None, 2),
+    (7, 8, 10, 5, 2),
+    (5, 10, 14, None, 1),
+    (7, 10, 14, 6, 1),
+    (101, 8, 10, None, 2),
+]
+
+
+def poly_instance(p, nrows, ncols, rank, degree) -> Matrix:
+    ring, rng = PolyRing(p), random.Random(f"poly {p}/{nrows}/{ncols}/{rank}/{degree}")
+    if rank is None:
+        return random_matrix(ring, nrows, ncols, rng, max_degree=degree)
+    return (random_matrix(ring, nrows, rank, rng, max_degree=degree)
+            @ random_matrix(ring, rank, ncols, rng, max_degree=degree))
+
+
+def assert_poly_agrees_with_sympy(a: Matrix):
+    """rank over GF(p)(z) and nullity equal sympy's; each sympy nullspace
+    vector, denominators cleared and content divided out, is a primitive
+    kernel vector, so it lies in the span of poly_kernel(a), which is
+    saturated."""
+    p = a.ring.n
+    field = sympy.GF(p).frac_field(sympy.symbols("z"))
+    ring = field.field.ring
+    # sympy's dense coefficient lists run from the top degree down
+    dm = DomainMatrix([[field.field(ring.from_list(e[::-1])) for e in row] for row in a.entries],
+                      (a.nrows, a.ncols), field)
+    null = dm.nullspace().to_list()
+    assert rank_over_fractions(a) == dm.rank() == a.ncols - len(null)
+    kernel = poly_kernel(a)
+    assert kernel.dim == len(null)
+    for v in null:
+        common = functools.reduce(lambda x, y: x.lcm(y), (e.denom for e in v))
+        entries = [e.numer * common.exquo(e.denom) for e in v]
+        content = functools.reduce(lambda x, y: x.gcd(y), entries)
+        vec = tuple(a.ring.normalize([int(c) for c in e.exquo(content).to_dense()[::-1]])
+                    for e in entries)
+        assert kernel.contains(vec) is not None, vec
+
+
+@pytest.mark.parametrize("p,nrows,ncols,rank,degree", POLY_SHAPES)
+def test_poly_shapes(p, nrows, ncols, rank, degree):
+    assert_poly_agrees_with_sympy(poly_instance(p, nrows, ncols, rank, degree))
+
+
+@pytest.mark.skipif(os.environ.get("KERPAIR_LARGE") != "1",
+                    reason="large shapes run with KERPAIR_LARGE=1")
+@pytest.mark.parametrize("p,nrows,ncols,rank,degree", LARGE_POLY_SHAPES)
+def test_large_poly_shapes(p, nrows, ncols, rank, degree):
+    assert_poly_agrees_with_sympy(poly_instance(p, nrows, ncols, rank, degree))
