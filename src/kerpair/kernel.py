@@ -245,8 +245,10 @@ def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
         if any(e != ring.zero for e in ab.matvec(col)):
             violations.append(f"section column {j} is not in ker(f1,f2)")
 
+    # ker_pair may itself be built from iota and the section, so the joint
+    # kernel is also computed here, independently of the kernel pair
     combined = Submodule.from_columns(ring, q1 + q2, iota_cols + sec_cols)
-    if combined != result.ker_pair:
+    if combined != result.ker_pair or combined != kernel(ab):
         violations.append("image(iota) + image(section) != ker(f1,f2)")
     if combined.rank != len(iota_cols) + len(sec_cols):
         violations.append("image(iota) and image(section) overlap")

@@ -13,7 +13,12 @@ reduction of [A; I] with U riding as extra rows, the trailing columns of
 U are a basis of ker A (unimodularity makes them generate the whole
 kernel module, not merely a GF(p)(z)-basis of it), and A x = c is solved
 by division against H; both stop at the echelon form H, before the
-back-reduction, which changes neither.  The scalar linearization, whose
+back-reduction, which changes neither.  A kernel pair carries one
+transform, A's: H back-reduced is the Hermite basis H' of Im A,
+ker(f1|f2) = B^-1(Im A) is read off one reduction of [H' | B] that
+carries the identity below B alone, and, the sequence being split,
+ker(f1,f2) is spanned by iota(ker f1) and the section.  The scalar
+linearization, whose
 nullspace holds every kernel vector of degree <= D, is kept only as the
 saturation oracle of ``verify`` and the tests.
 """
@@ -24,7 +29,7 @@ from .errors import (
     NotAFieldError,
     RingMismatchError,
 )
-from .kernel import KernelPairResult, _check_pair, _project_u, _witness
+from .kernel import KernelPairResult, _check_pair, _witness
 from .linalg import Submodule, nullspace, vector_degree  # noqa: F401 -- re-exported
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField
@@ -143,13 +148,22 @@ def _hermite(ring, cols, m, back_reduce=True):
         work = [c for c in work if c is not pivot]
         basis.append(pivot)
         pivot_rows.append(r)
-    for j, r in enumerate(pivot_rows if back_reduce else ()):
+    if back_reduce:
+        _back_reduce(ring, basis, pivot_rows)
+    return basis, work, tuple(pivot_rows)
+
+
+def _back_reduce(ring, basis, pivot_rows):
+    """Reduce, in place, every earlier column of the echelon ``basis`` below
+    the pivot degree in each later pivot row: the back-reduction step of
+    ``_hermite``, on the columns' full length."""
+    zero, sub_mul = ring.zero, ring.sub_mul
+    for j, r in enumerate(pivot_rows):
         source = basis[j]
         for target in basis[:j]:
             q, _ = ring.divmod(target[r], source[r])
             if q != zero:
                 target[r:] = [sub_mul(x, q, y) for x, y in zip(target[r:], source[r:])]
-    return basis, work, tuple(pivot_rows)
 
 
 def _with_transform(g: Matrix, back_reduce=False):
@@ -224,25 +238,38 @@ def poly_solve(a: Matrix, c) -> tuple | None:
 def kernel_pair_poly(a: Matrix, b: Matrix):
     """ker(f1|f2) over GF(p)[z] with its split-sequence witness.
 
-    ker_bar is the Hermite form of the u-projection of the joint kernel
-    of [A|B]; exactness of the projection means those generators already
-    span ker(A|B), no saturation pass needed.  One reduction of A gives
-    ker_f1 and the section: one column (x_u, u) per ker_bar basis vector
-    u, every x_u with A x_u = -B u read off that reduction at once.
+    One transform-carrying reduction, of A, gives ker_f1, Im A and the
+    section.  ker_bar = B^-1(Im A): reduce [H' | B] with H' the Hermite
+    basis of Im A (A's echelon form, back-reduced), carrying only the
+    u-rows; H' has full column rank, so the u-parts of the columns left
+    without a pivot are a basis of ker_bar.  The section has one column
+    (x_u, u) per ker_bar basis vector u, every x_u with A x_u = -B u read
+    off the reduction of A at once.  The sequence splits, so ker_pair is
+    spanned by iota(ker_f1) and the section.
     """
     _check_pair(a, b)
-    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    ring, p, q1, q2 = a.ring, a.nrows, a.ncols, b.ncols
     reduction = _with_transform(a)
-    ker_f1, ker_pair = _kernel_of(reduction), poly_kernel(hstack(a, b))
-    ker_bar = _project_u(ker_pair, q1, q2)
+    h, _, pivot_rows = reduction
+    image = [list(c) for c in h.columns()]
+    _back_reduce(ring, image, pivot_rows)
+    zeros = [ring.zero] * q2
+    cols = [c + zeros for c in image] + [
+        [*bc, *ic] for bc, ic in zip(b.columns(), Matrix.identity(ring, q2).columns())]
+    _, rest, _ = _hermite(ring, cols, p, back_reduce=False)
+    ker_bar = hermite_basis(Matrix.from_columns(ring, [c[p:] for c in rest], nrows=q2))
     us = ker_bar.basis
     xs = _solve_columns(reduction, (-(b @ us)).columns()) if us.ncols else []
     if None in xs:
         raise ConsistencyViolatedError(f"no section witness for {us.column(xs.index(None))!r}, "
                                        "although it lies in ker(f1|f2)")
+    section = vstack(Matrix.from_columns(ring, xs, nrows=q1), us)
+    ker_f1 = _kernel_of(reduction)
+    iota_f1 = vstack(ker_f1.basis, Matrix.zeros(ring, q2, ker_f1.basis.ncols))
+    ker_pair = hermite_basis(hstack(iota_f1, section))
     result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
                               ker_bar=ker_bar, method="projection")
-    return result, _witness(ring, q1, q2, vstack(Matrix.from_columns(ring, xs, nrows=q1), us))
+    return result, _witness(ring, q1, q2, section)
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

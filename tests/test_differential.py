@@ -1,5 +1,6 @@
 """Rank, rref and nullspace over GF(p), and rank and kernel over GF(p)[z],
-against sympy's DomainMatrix.
+against sympy's DomainMatrix; and the GF(p)[z] kernel pair against the
+formula it replaced.
 
 sympy is an outside implementation of the same exact arithmetic, so
 agreement here does not depend on any code of this package.  Tier-1 runs
@@ -7,7 +8,9 @@ small Hypothesis matrices and fixed shapes up to 60x90 over GF(p), and
 polynomial shapes up to 6x8 over GF(p)[z]; with ``KERPAIR_LARGE=1`` the
 fixed shapes go up to 200x400 and 10x14 (minutes: sympy takes about 40 s
 for one 200x400 rref over GF(101), and about a second for one 8x10
-nullspace over GF(p)(z)).
+nullspace over GF(p)(z)).  The kernel pair runs small seeded and
+Hypothesis pairs, and GF(7)[z] pairs up to 24x(18+18) with
+``KERPAIR_LARGE=1``.
 """
 
 import functools
@@ -26,12 +29,17 @@ from kerpair import (  # noqa: E402
     Matrix,
     PolyRing,
     PrimeField,
+    hstack,
+    kernel_pair_poly,
     nullspace,
     poly_kernel,
     random_matrix,
     rank_over_fractions,
     rref,
+    vstack,
 )
+from kerpair.kernel import _project_u  # noqa: E402
+from kerpair.polykernel import _solve_columns, _with_transform  # noqa: E402
 
 PRIMES = (2, 3, 5, 101, 2**31 - 1, 2**61 - 1, 2**62 - 57)
 
@@ -174,3 +182,72 @@ def test_poly_shapes(p, nrows, ncols, rank, degree):
 @pytest.mark.parametrize("p,nrows,ncols,rank,degree", LARGE_POLY_SHAPES)
 def test_large_poly_shapes(p, nrows, ncols, rank, degree):
     assert_poly_agrees_with_sympy(poly_instance(p, nrows, ncols, rank, degree))
+
+
+# GF(p)[z] kernel pair against the formula it replaced: ker_pair from the
+# transform-carrying reduction of [A | B], ker_bar its u-projection, the
+# section solved against the reduction of A.
+# (p, rows, q1, q2, entry degree, rank of A = L R or None, B: random, zero
+# or inside Im A)
+PAIR_SHAPES = [
+    (2, 3, 2, 3, 2, None, "random"),
+    (3, 4, 3, 3, 1, 2, "random"),
+    (3, 3, 3, 3, 1, 0, "random"),
+    (5, 0, 2, 3, 1, None, "random"),
+    (5, 3, 0, 2, 1, None, "random"),
+    (7, 3, 2, 0, 1, None, "random"),
+    (7, 4, 3, 3, 2, None, "zero"),
+    (101, 4, 3, 4, 1, 2, "inside"),
+    (2, 5, 4, 4, 1, 2, "inside"),
+    (2**31 - 1, 3, 3, 3, 1, None, "random"),
+]
+LARGE_PAIR_SHAPES = [
+    (7, 16, 12, 12, 2, None, "random"),
+    (7, 16, 12, 12, 2, 9, "random"),
+    (7, 24, 18, 18, 2, None, "random"),
+    (7, 24, 18, 18, 2, 9, "random"),
+]
+
+
+def pair_instance(rng, p, nrows, q1, q2, degree, rank, b_kind):
+    ring = PolyRing(p)
+
+    def draw(r, c):
+        return random_matrix(ring, r, c, rng, max_degree=degree)
+
+    a = draw(nrows, q1) if rank is None else draw(nrows, rank) @ draw(rank, q1)
+    b = {"random": lambda: draw(nrows, q2), "zero": lambda: Matrix.zeros(ring, nrows, q2),
+         "inside": lambda: a @ draw(q1, q2)}[b_kind]()
+    return a, b
+
+
+def assert_pair_matches_projection(a, b):
+    ring, q1 = a.ring, a.ncols
+    result, witness = kernel_pair_poly(a, b)
+    ker_pair = poly_kernel(hstack(a, b))
+    ker_bar = _project_u(ker_pair, q1, b.ncols)
+    xs = _solve_columns(_with_transform(a), (-(b @ ker_bar.basis)).columns())
+    section = vstack(Matrix.from_columns(ring, xs, nrows=q1), ker_bar.basis)
+    for new, old in ((result.ker_pair, ker_pair), (result.ker_bar, ker_bar)):
+        assert (new, new.pivot_rows) == (old, old.pivot_rows)
+    assert witness.section == section
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_pair_shapes(shape):
+    assert_pair_matches_projection(*pair_instance(random.Random(f"pair {shape}"), *shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 101, 2**31 - 1)), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 2), st.sampled_from((None, 0, 1, 2)),
+       st.sampled_from(("random", "zero", "inside")), st.randoms(use_true_random=False))
+def test_small_pairs(p, nrows, q1, q2, degree, rank, b_kind, rng):
+    assert_pair_matches_projection(*pair_instance(rng, p, nrows, q1, q2, degree, rank, b_kind))
+
+
+@pytest.mark.skipif(os.environ.get("KERPAIR_LARGE") != "1",
+                    reason="large shapes run with KERPAIR_LARGE=1")
+@pytest.mark.parametrize("shape", LARGE_PAIR_SHAPES)
+def test_large_pair_shapes(shape):
+    assert_pair_matches_projection(*pair_instance(random.Random(f"pair {shape}"), *shape))

@@ -3,6 +3,8 @@
 a failed ``verify`` check is reported as a violation with exit code 1."""
 
 import io
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +22,9 @@ from kerpair import (
     SystemPair,
     Trajectory,
     admissible,
+    hermite_basis,
     kernel_pair_poly,
+    random_matrix,
 )
 from kerpair.cli import main, verify_instance
 
@@ -65,6 +69,34 @@ def test_corrupted_field_section_fails_verify(tmp_path, monkeypatch):
     assert checks["splitting-witness"]
     assert not any(v for name, v in checks.items() if name != "splitting-witness")
     assert run(tmp_path, GF_FILE, ["verify", "FILE", "A", "B"]) == 1
+
+
+def _dropped_generator(a, b):
+    """The GF(p)[z] kernel pair with ker_bar's last generator and its
+    section column dropped, and ker_pair rebuilt from that split: a
+    witness consistent with its own result, but not with ker(f1,f2)."""
+    result, witness = kernel_pair_poly(a, b)
+    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    us = Matrix.from_columns(ring, result.ker_bar.basis.columns()[:-1], nrows=q2)
+    section = Matrix.from_columns(ring, witness.section.columns()[:-1], nrows=q1 + q2)
+    iota = [witness.iota.matvec(x) for x in result.ker_f1.basis.columns()]
+    ker_pair = Matrix.from_columns(ring, iota + section.columns(), nrows=q1 + q2)
+    result = replace(result, ker_bar=hermite_basis(us), ker_pair=hermite_basis(ker_pair))
+    return result, replace(witness, section=section)
+
+
+def test_joint_kernel_missing_a_section_fails_verify(monkeypatch):
+    """ker_pair built from iota and the section cannot vouch for them: the
+    ``splitting-witness`` row compares their span with a joint kernel of
+    its own, so a split that lost a ker_bar generator is a violation."""
+    monkeypatch.setitem(kerpair.crt.POLY, "kernel_pair", _dropped_generator)
+    ring, rng = PolyRing(5), random.Random(3)
+    for m, q1, q2 in ((3, 2, 2), (4, 2, 4), (5, 3, 4)):
+        a = random_matrix(ring, m, q1, rng, max_degree=1)
+        b = random_matrix(ring, m, q2, rng, max_degree=1)
+        checks = dict(verify_instance(a, b))
+        assert checks["splitting-witness"] == ["image(iota) + image(section) != ker(f1,f2)"]
+        assert not any(v for name, v in checks.items() if name != "splitting-witness")
 
 
 def test_missing_poly_witness(tmp_path, monkeypatch):

@@ -341,8 +341,9 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     """A GF(7)[z] kernel pair runs a fixed number of Hermite reductions,
     whatever dim ker_bar is, and never the degree-bounded nullspaces; the
     section is one batched solve, not one per column.  Only the
-    reductions of A and of [A | B] carry a transform, and neither is
-    back-reduced: kernels and solves read the echelon form."""
+    reduction of A carries a transform, and no reduction that carries
+    rows below the reduced ones is back-reduced: kernels and solves read
+    the echelon form."""
     calls = {"hermite": 0, "transform": 0, "back": 0, "sweep": 0}
     real_hermite, real_transform = polykernel._hermite, polykernel._with_transform
 
@@ -376,7 +377,7 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     assert dims[1] - dims[0] >= 3, dims
     assert calls["sweep"] == 0
     assert counts[0] == counts[1], counts
-    assert counts[0][0] <= 5 and counts[0][1] <= 2 and counts[0][2] == 0, counts
+    assert counts[0][0] <= 5 and counts[0][1] <= 1 and counts[0][2] == 0, counts
 
 
 def test_poly_kernel_requires_prime_coefficients():
