@@ -10,14 +10,15 @@ of A.  The three sit in a short exact sequence
 
     0 -> ker(f1) -> ker(f1,f2) -> ker(f1|f2) -> 0
 
-which splits over fields; the splitting is materialized as an
-ExactSequenceWitness with an explicit section.
+which splits over fields and over GF(p)[z]; ``_split``, shared by both,
+materializes the splitting as an ExactSequenceWitness with an explicit
+section.
 
 Three independent computations of ker(f1|f2) are provided (projection of
 the joint kernel, preimage of the image of f1 under f2, kernel through
 the cokernel of f1) plus a brute-force enumeration oracle for small
 finite rings.  They must all agree on the canonical presentation.  The
-other two take ker(f1) and ker(f1,f2) from the projection's one nullspace.
+other two take ker(f1) and ker(f1,f2) from the projection.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from .errors import (
     OracleTooLargeError,
     RingMismatchError,
 )
-from .linalg import Submodule, _echelon, image, nullspace, rref
+from .linalg import Submodule, _echelon, _span, image, nullspace, rref
 from .matrix import Matrix, hstack, vstack
 from .rings import PolyRing, PrimeField, split_ring
 
@@ -105,62 +106,51 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
-def _witness(ring, q1: int, q2: int, section: Matrix) -> ExactSequenceWitness:
+def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
+    """(result, witness) of the split sequence over GF(p) or GF(p)[z], from
+    ker_f1, ker_bar and the x-parts ``xs`` of the section: one x with
+    A x = -B u per ker_bar basis vector u.  The section is [xs ; ker_bar's
+    basis], and ker(f1,f2) is spanned by iota(ker_f1) and the section: it
+    is iota(ker_f1) itself, with ker_f1's pivot rows, when ker_bar = 0."""
+    ring, q1, q2 = ker_f1.ring, ker_f1.ambient, ker_bar.ambient
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
-    return ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
-
-
-def _joint_kernel(a: Matrix, b: Matrix):
-    """(result, X): the kernel pair over GF(p) from one nullspace of [B|A],
-    whose canonical basis, rows in (u; x) order, is block lower triangular:
-    the columns with a pivot among the u-rows come first, with ker_bar's
-    canonical basis as u-parts and some x with A x = -B u for each as
-    x-parts, the columns of X; the others are 0 in u and ker_f1's canonical
-    basis in x.  ker_pair is the same vectors in (x; u) order, echeloned."""
-    ring, q1, q2 = a.ring, a.ncols, b.ncols
-    joint = nullspace(hstack(b, a))
-    rows, pivots = joint.basis.entries, joint.pivot_rows
-    nb, k = sum(r < q2 for r in pivots), len(pivots)
-
-    def block(top, bottom, left, right):
-        return Matrix._canonical(ring, bottom - top, right - left,
-                                 [r[left:right] for r in rows[top:bottom]])
-
-    ker_bar = Submodule(ring, q2, basis=block(0, q2, 0, nb), pivot_rows=pivots[:nb])
-    ker_f1 = Submodule(ring, q1, basis=block(q2, q2 + q1, nb, k),
-                       pivot_rows=[r - q2 for r in pivots[nb:]])
-    ker_pair = _echelon(ring, q1 + q2, list(zip(*rows[q2:], *rows[:q2])))
-    return KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
-                            method="projection"), block(q2, q2 + q1, 0, nb)
-
-
-def _pin_free(ker_f1: Submodule, xs: Matrix) -> Matrix:
-    """X - N X[F]: each column x of ``xs`` moved within x + ker_f1 to the one
-    solution with x[F] = 0, as a solve of A x = c pins it.  F, A's columns
-    without a pivot in its row reduction, are those in the span of the
-    columns before them: the last nonzero positions of ker_f1, so the pivot
-    rows of its echelon basis in reversed coordinates, which read back in
-    order is the basis N with N[F] = I."""
-    ring, q1 = xs.ring, xs.nrows
-    if ker_f1.is_zero() or not xs.ncols:
-        return xs
-    rev = _echelon(ring, q1, list(zip(*ker_f1.basis.entries[::-1])))
-    n = Matrix._canonical(ring, q1, rev.dim, rev.basis.entries[::-1])
-    free = [xs.entries[q1 - 1 - r] for r in rev.pivot_rows]
-    return xs - n @ Matrix._canonical(ring, len(free), xs.ncols, free)
+    section = vstack(xs, ker_bar.basis)
+    iota_f1 = vstack(ker_f1.basis, Matrix.zeros(ring, q2, ker_f1.dim))
+    if ker_bar.is_zero():
+        ker_pair = Submodule(ring, q1 + q2, basis=iota_f1, pivot_rows=ker_f1.pivot_rows)
+    else:
+        ker_pair = _span(ring, q1 + q2, iota_f1.columns() + section.columns())
+    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
+                              method="projection")
+    return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
 
 
 def kernel_pair_projection(a: Matrix, b: Matrix):
-    """ker(f1|f2) as the u-projection of the joint kernel of [A|B].
+    """ker(f1|f2) as the u-projection of the joint kernel of [A|B], with the
+    split-sequence witness: at most three eliminations, no solve.
 
-    Returns the result together with the split-sequence witness, A's free
-    columns pinned to 0 in its section: at most three eliminations, no solve.
+    One nullspace of [B | A'], A' being A with its columns reversed.  Its
+    canonical basis, rows in (u; x') order, is block lower triangular: the
+    columns with a pivot among the u-rows come first, their u-parts are
+    ker_bar's canonical basis, and their x'-parts are 0 at the pivot rows
+    of the others, which are 0 in u and span ker_f1.  Read back in x
+    order those rows are the last nonzero positions of ker_f1: A's columns
+    F without a pivot in its row reduction.  So each first x-part is the
+    solution of A x = -B u with x[F] = 0, the one a solve pins, and is the
+    section as it stands; ker_f1 is one echelon of the other x-parts.
     """
     _check_pair(a, b)
-    result, xs = _joint_kernel(a, b)
-    section = vstack(_pin_free(result.ker_f1, xs), result.ker_bar.basis)
-    return result, _witness(a.ring, a.ncols, b.ncols, section)
+    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    joint = nullspace(hstack(b, Matrix._canonical(ring, a.nrows, q1,
+                                                  [r[::-1] for r in a.entries])))
+    rows, pivots = joint.basis.entries, joint.pivot_rows
+    nb = sum(r < q2 for r in pivots)
+    u_parts = Matrix._canonical(ring, q2, nb, [r[:nb] for r in rows[:q2]])
+    ker_bar = Submodule(ring, q2, basis=u_parts, pivot_rows=pivots[:nb])
+    x_rows = rows[q2:][::-1]
+    ker_f1 = _echelon(ring, q1, list(zip(*x_rows))[nb:])
+    return _split(ker_f1, ker_bar, Matrix._canonical(ring, q1, nb, [r[:nb] for r in x_rows]))
 
 
 def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
@@ -176,8 +166,7 @@ def _preimage(m: Matrix, b: Matrix) -> Submodule:
 def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
     """ker(f1|f2) by the preimage method (``_ker_bar``), with ker_f1 and
     the joint kernel alongside."""
-    _check_pair(a, b)
-    return replace(_joint_kernel(a, b)[0], ker_bar=_ker_bar(a, b), method="preimage")
+    return replace(kernel_pair_projection(a, b)[0], ker_bar=_ker_bar(a, b), method="preimage")
 
 
 def quotient_map(a: Matrix) -> QuotientMap:
@@ -198,7 +187,7 @@ def kernel_pair_quotient(a: Matrix, b: Matrix):
     """ker(f1|f2) as ker(p1 . f2) where p1 is the quotient map N -> N/Im(f1)."""
     _check_pair(a, b)
     ker_bar, qm = _quotient_ker_bar(a, b)
-    return replace(_joint_kernel(a, b)[0], ker_bar=ker_bar, method="quotient"), qm
+    return replace(kernel_pair_projection(a, b)[0], ker_bar=ker_bar, method="quotient"), qm
 
 
 _METHODS = {

@@ -131,6 +131,18 @@ def _echelon(ring, ambient, vectors) -> "Submodule":
     return Submodule(ring, ambient, basis=basis, pivot_rows=pivots)
 
 
+def _span(ring, ambient, columns) -> "Submodule":
+    """The canonical presentation of the span of ``columns`` in
+    ring^ambient over GF(p) or GF(p)[z], their entries already canonical:
+    ``_echelon`` over GF(p), ``hermite_basis`` over GF(p)[z]."""
+    if isinstance(ring, PrimeField):
+        return _echelon(ring, ambient, columns)
+    from .polykernel import hermite_basis
+
+    rows = list(zip(*columns)) if columns else [()] * ambient
+    return hermite_basis(Matrix._canonical(ring, ambient, len(columns), rows))
+
+
 def nullspace(a: Matrix) -> "Submodule":
     """Canonical basis of the right kernel {v : Av = 0} over a prime field.
 
@@ -233,11 +245,7 @@ class Submodule:
             return cls(ring, ambient, components=[
                 cls.from_columns(local, ambient, [split.reduce(c, i) for c in columns])
                 for i, local in enumerate(split.locals)])
-        if isinstance(ring, PrimeField):
-            return _echelon(ring, ambient, columns)
-        from .polykernel import hermite_basis
-
-        return hermite_basis(Matrix.from_columns(ring, columns, nrows=ambient))
+        return _span(ring, ambient, columns)
 
     @classmethod
     def zero(cls, ring, ambient) -> "Submodule":

@@ -16,9 +16,9 @@ by division against H; both stop at the echelon form H, before the
 back-reduction, which changes neither.  A kernel pair carries one
 transform, A's: H back-reduced is the Hermite basis H' of Im A,
 ker(f1|f2) = B^-1(Im A) is read off one reduction of [H' | B] that
-carries the identity below B alone, and, the sequence being split,
-ker(f1,f2) is spanned by iota(ker f1) and the section.  The scalar
-linearization, whose
+carries the identity below B alone, and the split shared with GF(p),
+``kernel._split``, spans ker(f1,f2) by iota(ker f1) and the section,
+with no reduction when ker(f1|f2) = 0.  The scalar linearization, whose
 nullspace holds every kernel vector of degree <= D, is kept only as the
 saturation oracle of ``verify`` and the tests.
 """
@@ -29,9 +29,9 @@ from .errors import (
     NotAFieldError,
     RingMismatchError,
 )
-from .kernel import KernelPairResult, _check_pair, _witness
-from .linalg import Submodule, nullspace, vector_degree  # noqa: F401 -- re-exported
-from .matrix import Matrix, hstack, vstack
+from .kernel import _check_pair, _split
+from .linalg import Submodule, _span, nullspace, vector_degree  # noqa: F401 -- re-exported
+from .matrix import Matrix, vstack
 from .rings import PolyRing, PrimeField
 
 
@@ -109,7 +109,7 @@ def poly_kernel(a: Matrix) -> Submodule:
 def _kernel_of(reduction) -> Submodule:
     """poly_kernel from the reduction (H, U, pivot rows) of A."""
     h, u, _ = reduction
-    return hermite_basis(Matrix.from_columns(h.ring, u.columns()[h.ncols:], nrows=u.nrows))
+    return _span(h.ring, u.nrows, u.columns()[h.ncols:])
 
 
 # -- Hermite normal form -----------------------------------------------------
@@ -197,7 +197,8 @@ def hermite_form(g: Matrix) -> Matrix:
 def hermite_basis(g: Matrix) -> Submodule:
     """Column Hermite basis of the column span of g, without a transform."""
     basis, _, pivots = _hermite(g.ring, g.columns(), g.nrows)
-    return Submodule(g.ring, g.nrows, basis=Matrix.from_columns(g.ring, basis, nrows=g.nrows),
+    rows = list(zip(*basis)) if basis else [()] * g.nrows
+    return Submodule(g.ring, g.nrows, basis=Matrix._canonical(g.ring, g.nrows, len(basis), rows),
                      pivot_rows=pivots)
 
 
@@ -244,8 +245,9 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     u-rows; H' has full column rank, so the u-parts of the columns left
     without a pivot are a basis of ker_bar.  The section has one column
     (x_u, u) per ker_bar basis vector u, every x_u with A x_u = -B u read
-    off the reduction of A at once.  The sequence splits, so ker_pair is
-    spanned by iota(ker_f1) and the section.
+    off the reduction of A at once.  It ends in the split shared with
+    GF(p), ``kernel._split``: ker_pair is the Hermite basis of
+    iota(ker_f1) and the section, or iota(ker_f1) itself when ker_bar = 0.
     """
     _check_pair(a, b)
     ring, p, q1, q2 = a.ring, a.nrows, a.ncols, b.ncols
@@ -257,19 +259,13 @@ def kernel_pair_poly(a: Matrix, b: Matrix):
     cols = [c + zeros for c in image] + [
         [*bc, *ic] for bc, ic in zip(b.columns(), Matrix.identity(ring, q2).columns())]
     _, rest, _ = _hermite(ring, cols, p, back_reduce=False)
-    ker_bar = hermite_basis(Matrix.from_columns(ring, [c[p:] for c in rest], nrows=q2))
+    ker_bar = _span(ring, q2, [c[p:] for c in rest])
     us = ker_bar.basis
     xs = _solve_columns(reduction, (-(b @ us)).columns()) if us.ncols else []
     if None in xs:
         raise ConsistencyViolatedError(f"no section witness for {us.column(xs.index(None))!r}, "
                                        "although it lies in ker(f1|f2)")
-    section = vstack(Matrix.from_columns(ring, xs, nrows=q1), us)
-    ker_f1 = _kernel_of(reduction)
-    iota_f1 = vstack(ker_f1.basis, Matrix.zeros(ring, q2, ker_f1.basis.ncols))
-    ker_pair = hermite_basis(hstack(iota_f1, section))
-    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair,
-                              ker_bar=ker_bar, method="projection")
-    return result, _witness(ring, q1, q2, section)
+    return _split(_kernel_of(reduction), ker_bar, Matrix.from_columns(ring, xs, nrows=q1))
 
 
 def poly_member(a: Matrix, b: Matrix, u) -> tuple | None:

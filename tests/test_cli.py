@@ -804,13 +804,13 @@ def test_verify_runs_one_projection_kernel_pair(gf_file, monkeypatch):
     import kerpair.kernel as kernel_mod
 
     calls = []
-    real = kernel_mod._joint_kernel
+    real = kernel_mod._split
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(kernel_mod, "_joint_kernel", counted)
+    monkeypatch.setattr(kernel_mod, "_split", counted)
     code, _ = run_cli(["verify", gf_file, "A", "B", "--trials", "1"])
     assert code == 0
     assert len(calls) == 1

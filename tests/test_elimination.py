@@ -45,7 +45,7 @@ PRIMES = (2, 3, 101, 2**31 - 1)
 #: slots of 1 to 17 bytes; entries of 2**16 + 1 need 3 bytes; the largest
 #: prime below 2**62 is 2**62 - 57
 ELIMINATION_PRIMES = (2, 3, 5, 101, 2**16 + 1, 2**31 - 1, 2**61 - 1, 2**62 - 57)
-KERNEL_PAIR_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1)
+KERNEL_PAIR_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1, 2**62 - 57)
 
 
 # -- reference: elimination on lists of ints ---------------------------------
@@ -201,13 +201,15 @@ def assert_kernel_pair_like_reference(a, b):
 @st.composite
 def matrices(draw, p=None, nrows=None):
     """Matrices up to 12x12 over GF(p): random, rank-deficient (L R with
-    a small inner dimension) or all-zero; 0 rows and 0 columns included."""
+    a small inner dimension), repeated (copies of up to three columns,
+    and zero columns, which make many columns free) or all-zero; 0 rows
+    and 0 columns included."""
     if p is None:
         p = draw(st.sampled_from(PRIMES))
     if nrows is None:
         nrows = draw(st.integers(0, 12))
     ncols = draw(st.integers(0, 12))
-    kind = draw(st.sampled_from(("random", "rank-deficient", "zero")))
+    kind = draw(st.sampled_from(("random", "rank-deficient", "repeated", "zero")))
     entry = st.integers(0, p - 1)
 
     def block(r, c):
@@ -218,6 +220,10 @@ def matrices(draw, p=None, nrows=None):
         rows = [[0] * ncols for _ in range(nrows)]
     elif kind == "random":
         rows = block(nrows, ncols)
+    elif kind == "repeated":
+        cols = block(draw(st.integers(1, 3)), nrows)
+        picks = draw(st.lists(st.integers(-1, len(cols) - 1), min_size=ncols, max_size=ncols))
+        rows = [[cols[k][i] if k >= 0 else 0 for k in picks] for i in range(nrows)]
     else:
         inner = draw(st.integers(0, 3))
         left, right = block(nrows, inner), block(inner, ncols)
@@ -239,7 +245,7 @@ def systems(draw):
 
 @st.composite
 def pairs(draw):
-    """(A, B) sharing their rows over GF(p), p up to 2**61 - 1."""
+    """(A, B) sharing their rows over GF(p), p up to 2**62 - 57."""
     p = draw(st.sampled_from(KERNEL_PAIR_PRIMES))
     a = draw(matrices(p=p))
     return a, draw(matrices(p=p, nrows=a.nrows))
@@ -444,9 +450,9 @@ def _pair(p, inside, rng):
 @pytest.mark.parametrize("p", [2, 101])
 def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
     """A field kernel pair runs a fixed number of eliminations, whatever
-    dim ker_bar is: the nullspace of [B|A], the echelon of ker_pair and,
-    when ker_f1 != 0, one of ker_f1 to pin the section; nothing per
-    column."""
+    dim ker_bar is: the nullspace of [B|A'], which pins the section
+    itself, the echelon of ker_f1 when ker_f1 != 0 and that of ker_pair
+    when ker_bar != 0; nothing per column."""
     calls = []
     real = linalg._eliminate
 
@@ -468,9 +474,9 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
 
 
 def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
-    """With ker(f1|f2) = 0 there is no section column to pin, so a field
-    kernel pair eliminates [B|A] and, when that kernel is not 0, echelons
-    ker_pair; it never echelons ker_f1 for the section."""
+    """With ker(f1|f2) = 0 there is no section, and ker_pair is iota(ker_f1)
+    as it stands: a field kernel pair eliminates [B|A'] and, when ker_f1
+    is not 0, echelons it; ker_pair takes no elimination of its own."""
     ring = PrimeField(7)
     b = Matrix(ring, 3, 1, [[0], [1], [0]])
     calls = []

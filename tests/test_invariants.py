@@ -60,9 +60,11 @@ def run(tmp_path, text, argv):
 
 def test_corrupted_field_section_fails_verify(tmp_path, monkeypatch):
     """A field section is read off the joint kernel, with no solve that
-    can fail; a wrong one (here x_u negated) is a ``splitting-witness``
-    violation of verify (exit 1)."""
-    monkeypatch.setattr(kerpair.kernel, "_pin_free", lambda ker_f1, xs: -xs)
+    can fail; a wrong one (here x_u negated on its way into the split) is
+    a ``splitting-witness`` violation of verify (exit 1)."""
+    split = kerpair.kernel._split
+    monkeypatch.setattr(kerpair.kernel, "_split",
+                        lambda ker_f1, ker_bar, xs: split(ker_f1, ker_bar, -xs))
     a = Matrix(PrimeField(5), 2, 1, [[1], [0]])
     b = Matrix(PrimeField(5), 2, 2, [[1, 0], [0, 0]])
     checks = dict(verify_instance(a, b))

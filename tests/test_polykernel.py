@@ -380,6 +380,33 @@ def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
     assert counts[0][0] <= 5 and counts[0][1] <= 1 and counts[0][2] == 0, counts
 
 
+def test_kernel_pair_without_ker_bar_skips_the_ker_pair_reduction(monkeypatch):
+    """With ker(f1|f2) = 0 there is no section, so ker(f1,f2) is iota(ker_f1)
+    as it stands: a GF(7)[z] kernel pair runs the reductions of A, of
+    [H' | B] and the Hermite bases of ker_bar and ker_f1, and none for
+    ker_pair."""
+    calls = []
+    real_hermite = polykernel._hermite
+
+    def counted_hermite(ring, cols, m, back_reduce=True):
+        calls.append(m)
+        return real_hermite(ring, cols, m, back_reduce)
+
+    monkeypatch.setattr(polykernel, "_hermite", counted_hermite)
+    ring = PolyRing(7)
+    a = pm(ring, [[Z, (1,)], [(0, 0, 1), Z], [(), ()]])
+    b = pm(ring, [[()], [()], [(1, 1)]])
+    result, witness = kernel_pair(a, b)
+    assert len(calls) == 4, calls
+    assert result.ker_bar.is_zero() and not result.ker_f1.is_zero()
+    assert witness.section.ncols == 0
+    iota_f1 = Matrix.from_columns(ring, [x + ((),) for x in result.ker_f1.basis.columns()],
+                                  nrows=3)
+    assert result.ker_pair == Submodule(ring, 3, basis=iota_f1,
+                                        pivot_rows=result.ker_f1.pivot_rows)
+    assert result.ker_pair == hermite_basis(iota_f1)
+
+
 def test_poly_kernel_requires_prime_coefficients():
     with pytest.raises(NotAFieldError):
         poly_kernel(Matrix.zeros(PolyRing(6), 1, 1))
