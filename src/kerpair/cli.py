@@ -66,7 +66,7 @@ def _entries(ring, tokens, expect: int, what: str, line=None) -> tuple:
         raise MatrixParseError(f"{what} has {len(tokens)} entries, expected {expect}",
                                line=line)
     try:
-        return tuple(map(ring.parse, tokens))
+        return ring.parse_all(tokens)
     except ValueError as exc:
         raise MatrixParseError(str(exc), line=line)
 
@@ -154,8 +154,13 @@ def parse_vector_file(ring, path: str, width: int) -> list:
 # -- result documents --------------------------------------------------------
 
 
+class _Formatted(list):
+    """Ring-formatted elements, which hold only digits, brackets and
+    commas: ``_dumps`` writes them without escaping."""
+
+
 def _vector_doc(ring, v):
-    return [ring.format(e) for e in v]
+    return _Formatted(map(ring.format, v))
 
 
 #: A submodule document's "kind", by ring family and whether it is glued.
@@ -188,10 +193,13 @@ def _print_submodule(label: str, sub: Submodule, out):
 def _dumps(doc, indent="\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.  Any indent sends
     ``json`` to its pure-Python encoder; here strings go through the C
-    quoting function, a list of strings in one join.  Values dispatch on
-    their exact type, the plain dicts, lists and scalars of a document."""
+    quoting function, a list of strings in one join, a ``_Formatted``
+    list in one join with no quoting call.  Values dispatch on their exact
+    type, the plain dicts, lists and scalars of a document."""
     inner = indent + "  "
     kind = type(doc)
+    if kind is _Formatted:
+        return f'[{inner}"' + f'",{inner}"'.join(doc) + f'"{indent}]' if doc else "[]"
     if kind is dict:
         if not doc:
             return "{}"
@@ -351,7 +359,7 @@ def cmd_member(args, out) -> int:
             print("not a member", file=out)
         else:
             print("member; witness x = ["
-                  + ", ".join(ring.format(e) for e in x) + "]", file=out)
+                  + ", ".join(map(ring.format, x)) + "]", file=out)
     return _emit(doc, args, out)
 
 
@@ -393,9 +401,9 @@ def cmd_simulate(args, out) -> int:
                status="ok", exit_code=0)
     if not args.json:
         for t, x in enumerate(traj.states):
-            u = ("  u = [" + ", ".join(ring.format(e) for e in traj.inputs[t]) + "]"
+            u = ("  u = [" + ", ".join(map(ring.format, traj.inputs[t])) + "]"
                  if t < len(traj.inputs) else "")
-            print(f"x({t}) = [" + ", ".join(ring.format(e) for e in x) + "]" + u,
+            print(f"x({t}) = [" + ", ".join(map(ring.format, x)) + "]" + u,
                   file=out)
     return _emit(doc, args, out)
 

@@ -10,7 +10,9 @@ reduce: a row is reduced mod p when it becomes the pivot row and once
 more when the rows are unpacked.  Slots are wide enough for the largest
 value that can build up in between, (p - 1) + k (p - 1)^2 after k row
 operations, k = min(rows, pivot columns).  GF(2) is the same code with
-1-byte slots, 2-byte ones from k = 255 on.
+1-byte slots, 2-byte ones from k = 255 on.  On 1-byte slots a row is
+reduced, or scaled and reduced, by one ``bytes.translate`` through a
+256-byte table of v -> c v mod p.
 
 The canonical presentation of a subspace of GF(p)^q is the reduced column
 echelon basis: pivot entries 1, pivot rows strictly increasing, every
@@ -23,6 +25,7 @@ holds the column Hermite basis, and over square-free Z/m or (Z/m)[z] one
 local presentation per prime.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +45,13 @@ class RrefResult:
 def _require_field(ring):
     if not isinstance(ring, PrimeField):
         raise NotAFieldError(f"{ring!r} is not a prime field")
+
+
+@functools.cache
+def _table(p, c):
+    """The ``bytes.translate`` table of v -> c v mod p over bytes v, for a
+    prime p whose 1-byte slots it reduces and c in [1, p)."""
+    return bytes(c * v % p for v in range(256))
 
 
 def _eliminate(rows, p, ncols):
@@ -65,6 +75,8 @@ def _eliminate(rows, p, ncols):
     (p - 1)^2 per row operation, and at most k = min(nrows, ncols) row
     operations reach a row: a slot of ``_slot_bytes(p, k)`` bytes never
     overflows into its neighbour.  Entries are read mod p throughout.
+    On 1-byte slots the pivot row and the unpacked rows go through
+    ``_table`` instead, one ``bytes.translate`` per row.
     """
     nrows = len(rows)
     width = len(rows[0]) if rows else 0
@@ -88,8 +100,11 @@ def _eliminate(rows, p, ncols):
         packed[i] = packed[r]
         # the pivot row is 0 mod p left of c: reduce and scale its tail
         inv = pow(f, -1, p)
-        tail = _from_slots(top.to_bytes(span, "big")[c * size:], size)
-        top = _pack([inv * x % p for x in tail], p, size)
+        tail = top.to_bytes(span, "big")[c * size:]
+        if size == 1:
+            top = int.from_bytes(tail.translate(_table(p, inv)), "big")
+        else:
+            top = _pack([inv * x % p for x in _from_slots(tail, size)], p, size)
         packed[r] = 0  # the pivot row takes no row operation of its own
         packed = [row + (p - f) * top if (f := (row >> shift & mask) % p) else row
                   for row in packed]
@@ -97,6 +112,9 @@ def _eliminate(rows, p, ncols):
         pivots.append(c)
         if r + 1 == nrows:
             break
+    if size == 1:
+        table = _table(p, 1)
+        return [list(row.to_bytes(span, "big").translate(table)) for row in packed], pivots
     return [[x % p for x in _from_slots(row.to_bytes(span, "big"), size)]
             for row in packed], pivots
 

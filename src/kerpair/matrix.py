@@ -149,9 +149,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = ring.zero, ring.one
-        return cls._canonical(ring, n, n,
-                              [[o if i == j else z for j in range(n)] for i in range(n)])
+        zs, o = (ring.zero,) * n, ring.one
+        return cls._canonical(ring, n, n, [zs[:i] + (o,) + zs[i + 1:] for i in range(n)])
 
     def row(self, i) -> tuple:
         return self.entries[i]

@@ -10,7 +10,9 @@ Three families are supported:
 
 Elements are plain immutable Python values; a ring object interprets
 them.  Every operation returns the canonical representative, so equal
-elements always compare equal structurally.
+elements always compare equal structurally.  Each ring owns its text
+format: ``parse`` and ``format`` one element, ``parse_all`` a row of
+tokens.
 
 GF(p) and Z/m share one Z/q body, ``ResidueRing``: its element
 arithmetic, parsing and formatting run on the modulus ``q`` alone, and
@@ -140,6 +142,9 @@ class _Ring:
     def __hash__(self):
         return hash((self.kind, self.q))
 
+    def parse_all(self, tokens) -> tuple:
+        return tuple(map(self.parse, tokens))
+
 
 class ResidueRing(_Ring):
     """Z/q with elements the ints in [0, q): the arithmetic GF(p) and Z/m
@@ -177,8 +182,15 @@ class ResidueRing(_Ring):
     def parse(self, text: str):
         return int(text) % self.q
 
-    def format(self, a) -> str:
-        return str(a)
+    format = str  # a type is no descriptor: ``ring.format`` is ``str``
+
+    def parse_all(self, tokens) -> tuple:
+        """``parse`` of each token: one ``int`` pass, and one ``% q`` pass
+        only when some value lies outside [0, q)."""
+        v = tuple(map(int, tokens))
+        if v and (min(v) < 0 or max(v) >= self.q):
+            return tuple(map(self.q.__rmod__, v))
+        return v
 
 
 class PrimeField(ResidueRing):

@@ -19,6 +19,7 @@ from kerpair import (
 )
 from kerpair.cli import (
     _dumps,
+    _Formatted,
     build_parser,
     format_matrix_file,
     main,
@@ -198,6 +199,11 @@ MATRIX_HEADER = "expected 'matrix <NAME> <rows> <cols>', got "
     ("ring gf 2\n# c\nmatrix A 2 2\n1 0\n\n# row two\n0 1 1\n",
      "matrix 'A' row has 3 entries, expected 2", 7),
     ("ring gf 2\nmatrix A 1 1\nx\n", "invalid literal for int() with base 10: 'x'", 3),
+    ("ring zmod 30\nmatrix A 2 3\n1 2 3\n4 x 99\n",
+     "invalid literal for int() with base 10: 'x'", 4),
+    ("ring gf 7\nmatrix A 1 3\n-1 1.5 7\n", "invalid literal for int() with base 10: '1.5'", 3),
+    ("ring polygf 5\nmatrix A 2 2\n[1] 2\n[0,1] [2,y]\n",
+     "invalid literal for int() with base 10: 'y'", 4),
     ("ring polygf 3\nmatrix A 1 1\n[1,2\n", "unterminated coefficient list: '[1,2'", 3),
     ("ring gf 2\nmatrix A 1 1\n", "matrix 'A' ends after 0 of 1 rows", 2),
     ("ring gf 2\nmatrix A 2 1\n1\n", "matrix 'A' ends after 1 of 2 rows", 3),
@@ -209,6 +215,16 @@ def test_matrix_file_error_messages(text, message, line):
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix_file(text)
     assert (str(exc.value), exc.value.line) == (message, line)
+
+
+@pytest.mark.parametrize("kind,q", [("gf", 5), ("zmod", 30), ("polygf", 7)])
+def test_matrix_rows_parse_like_entrywise(kind, q):
+    """A row with values outside [0, q), a sign, leading zeros, an
+    underscore and an int beyond 2**64 reads as ``ring.parse`` of each."""
+    tokens = ["-1", str(q), "+5", "007", "1_0", str(2**64 + 3)]
+    ring, matrices = parse_matrix_file(
+        f"ring {kind} {q}\nmatrix A 1 6\n" + " ".join(tokens) + "\n")
+    assert matrices["A"].entries == (tuple(map(ring.parse, tokens)),)
 
 
 @pytest.mark.parametrize("text,message,line", [
@@ -837,12 +853,18 @@ JSON_TEXT = st.text(st.one_of(
     st.characters()), max_size=8)
 JSON_SCALARS = st.one_of(JSON_TEXT, st.integers(), st.integers(-2**70, 2**70),
                          st.floats(), st.booleans(), st.none())
+#: ring-formatted rows as the result documents hold them: decimals up to
+#: 2**62 and polynomial text, empty rows included
+RING_TEXT = st.one_of(st.integers(0, 2**62).map(str), st.sampled_from(("[0]", "[1,2]")),
+                      st.lists(st.integers(0, 2**62), min_size=1, max_size=3).map(
+                          lambda cs: "[" + ",".join(map(str, cs)) + "]"))
+FORMATTED = st.lists(RING_TEXT, max_size=4).map(_Formatted)
 #: json writes int, bool and None keys as strings
 JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+@given(st.recursive(st.one_of(JSON_SCALARS, FORMATTED), lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(JSON_TEXT, max_size=4),
     st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=20))
 def test_json_writer_matches_json_dumps(doc):

@@ -43,8 +43,10 @@ from kerpair.matrix import hstack
 
 PRIMES = (2, 3, 101, 2**31 - 1)
 #: slots of 1 to 17 bytes; entries of 2**16 + 1 need 3 bytes; the largest
-#: prime below 2**62 is 2**62 - 57
-ELIMINATION_PRIMES = (2, 3, 5, 101, 2**16 + 1, 2**31 - 1, 2**61 - 1, 2**62 - 57)
+#: prime below 2**62 is 2**62 - 57.  Every prime with 1-byte slots at some
+#: rank k >= 1 (up to 13) is here, so pivot rows scaled through
+#: ``linalg._table`` by every kind of inverse are checked
+ELIMINATION_PRIMES = (2, 3, 5, 7, 11, 13, 101, 2**16 + 1, 2**31 - 1, 2**61 - 1, 2**62 - 57)
 KERNEL_PAIR_PRIMES = (2, 3, 101, 2**31 - 1, 2**61 - 1, 2**62 - 57)
 
 
@@ -409,6 +411,32 @@ def test_eliminate_across_a_slot_width_boundary(p, data):
         n = k + 8
         rows = [[rng.randrange(p) for _ in range(n + extra)] for _ in range(n)]
         assert len(assert_eliminates_like_reference(rows, p, n)) >= k
+
+
+def test_one_byte_tables_at_slot_width_boundaries(monkeypatch):
+    """At rank k and k - 1 for each slot-width boundary k of every
+    elimination prime, the unit rows of the boundary test behind a row of
+    p - 1, ``_table(p, c)`` is asked only for p < 257 and a unit c in
+    [1, p), and on 1-byte slots only: every prime up to 13 scales pivot
+    rows through it by some inverse other than 1, the larger primes never
+    (they unpack through it at k = 0, which sizes a slot for p - 1)."""
+    calls = []
+    real = linalg._table
+
+    def recorded(p, c):
+        calls.append((p, c))
+        return real(p, c)
+
+    monkeypatch.setattr(linalg, "_table", recorded)
+    for p in ELIMINATION_PRIMES:
+        for k in _slot_boundaries(p):
+            for rank in (k - 1, k):
+                rows = [[p - 1] * (rank + 1)]
+                rows += [[int(i == j) for j in range(rank)] + [p - 1] for i in range(rank)]
+                assert len(assert_eliminates_like_reference(rows, p, rank)) == rank
+    assert all(p < 257 and 0 < c < p for p, c in calls)
+    assert {p for p, c in calls if c != 1} == {3, 5, 7, 11, 13}
+    assert {p for p, _ in calls} == {p for p in ELIMINATION_PRIMES if p < 257}
 
 
 @pytest.mark.parametrize("p", PRIMES)

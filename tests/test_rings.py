@@ -160,6 +160,46 @@ def test_parse_format_round_trip(ring):
         assert ring.parse(ring.format(a)) == a
 
 
+#: tokens int() reads, as one row: values >= q and negative ones, a sign,
+#: leading zeros, an underscore, ints beyond 2**64
+INT_TOKENS = ("0", "1", "4", "5", "7", "12", "30", "-1", "-30", "+5", "007", "1_0", " 9 ",
+              str(2**64 + 3), str(-2**70 - 1), str(2**62))
+POLY_TOKENS = ("[0]", "[]", "[1,2]", "[ 3 , 0 ]", "[-1,7,0]", f"[{2**65},1]")
+CODEC_RINGS = RINGS + [PrimeField(2**61 - 1), ModRing(2**62), PolyRing(30)]
+
+
+def _tokens(ring):
+    return INT_TOKENS + (POLY_TOKENS if isinstance(ring, PolyRing) else ())
+
+
+@pytest.mark.parametrize("ring", CODEC_RINGS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_parse_all_matches_elementwise(ring, data):
+    """``parse_all`` is ``parse`` entry by entry: on every token at once
+    (several out of [0, q)), on drawn rows, and on rows whose values all
+    lie in [0, q), which skip the reduction; it reads back what
+    ``format`` writes."""
+    drawn = st.one_of(st.sampled_from(_tokens(ring)), st.integers(-2**70, 2**70).map(str))
+    in_range = st.integers(0, ring.q - 1).map(str)
+    for tokens in (_tokens(ring), data.draw(st.lists(drawn, max_size=8)),
+                   data.draw(st.lists(in_range, max_size=8))):
+        parsed = ring.parse_all(tokens)
+        assert type(parsed) is tuple and parsed == tuple(map(ring.parse, tokens))
+        assert ring.parse_all(list(map(ring.format, parsed))) == parsed
+
+
+@pytest.mark.parametrize("ring", CODEC_RINGS, ids=repr)
+@pytest.mark.parametrize("bad", ["x", "1.5", "", "0x1f", "[1,x]"])
+def test_parse_all_raises_like_parse(ring, bad):
+    """A bad token mid-row raises parse's own ValueError text."""
+    with pytest.raises(ValueError) as expected:
+        ring.parse(bad)
+    with pytest.raises(ValueError) as got:
+        ring.parse_all(["3", str(2**64), bad, "-1"])
+    assert str(got.value) == str(expected.value)
+
+
 def test_poly_parse_forms():
     ring = PolyRing(2)
     assert ring.parse("[0]") == ()
