@@ -18,7 +18,7 @@ from .errors import (
     RingMismatchError,
 )
 from .kernel import ORACLE_LIMIT, _solve_by_enumeration
-from .matrix import Matrix, hstack
+from .matrix import Matrix, _modulus, hstack
 from .polykernel import kernel_pair_poly
 from .rings import ModRing, PolyRing, PrimeField
 
@@ -83,7 +83,10 @@ def _normalize(ring, v, size: int, what: str) -> tuple:
     """``v`` over ``ring``, checked to have ``size`` entries."""
     if len(v) != size:
         raise DimensionMismatchError(f"{what} length {len(v)} != {size}")
-    return tuple(ring.normalize(e) for e in v)
+    q = _modulus(ring)
+    if q is not None:  # ring.normalize, inline: int(e) % q
+        return tuple(map(q.__rmod__, map(int, v)))
+    return tuple(map(ring.normalize, v))
 
 
 def _run(ab: Matrix, x, inputs) -> Trajectory:

@@ -71,8 +71,25 @@ def _entries(ring, tokens, expect: int, what: str, line=None) -> tuple:
         raise MatrixParseError(str(exc), line=line)
 
 
+def _rows(ring, block: list, width: int, what: str) -> list:
+    """The rows of ``block``, records of ``width`` entries each: one count
+    check over the block and one ``parse_all`` of all its tokens.  A bad
+    count or token re-reads the block row by row through ``_entries``, so
+    the error raised is the first in file order, with its line."""
+    token_rows = [row for _, _, row in block]
+    if set(map(len, token_rows)) <= {width}:
+        try:
+            flat = ring.parse_all(list(itertools.chain.from_iterable(token_rows)))
+        except ValueError:
+            pass
+        else:
+            return list(zip(*[iter(flat)] * width))
+    return [_entries(ring, row, width, what, lineno) for lineno, _, row in block]
+
+
 def parse_matrix_file(text: str):
-    """(ring, {name: Matrix}) from the matrix file format."""
+    """(ring, {name: Matrix}) from the matrix file format; a matrix's rows
+    are read as one block (``_rows``)."""
     ring = None
     matrices = {}
     records = _records(text)
@@ -99,16 +116,16 @@ def parse_matrix_file(text: str):
             raise MatrixParseError(f"bad dimensions in {raw!r}", line=lineno)
         if nrows < 0 or ncols < 0:
             raise MatrixParseError(f"negative dimensions in {raw!r}", line=lineno)
-        rows = [] if ncols else [()] * nrows  # n x 0 takes no row lines
-        what = f"matrix {name!r} row"
-        while len(rows) < nrows:
-            if (record := next(records, None)) is None:
+        if not ncols:  # n x 0 takes no row lines
+            rows = [()] * nrows
+        else:
+            block = list(itertools.islice(records, nrows))
+            rows = _rows(ring, block, ncols, f"matrix {name!r} row")
+            if len(rows) < nrows:
                 raise MatrixParseError(
                     f"matrix {name!r} ends after {len(rows)} of {nrows} rows",
                     line=len(text.splitlines()))
-            lineno, _, tokens = record
-            rows.append(_entries(ring, tokens, ncols, what, lineno))
-        # ring.parse returns canonical elements, so nothing is re-normalized
+        # ring.parse_all returns canonical elements, so nothing is re-normalized
         matrices[name] = Matrix._canonical(ring, nrows, ncols, rows)
     if ring is None:
         raise MatrixParseError("empty matrix file", line=1)
@@ -128,14 +145,18 @@ def format_matrix_file(ring, matrices) -> str:
 def split_vector_text(text: str) -> list:
     """Split on top-level commas, leaving bracketed coefficient lists whole.
     A blank text is the zero-length vector; an empty entry or an unmatched
-    ``]`` is a parse error."""
+    ``]`` is a parse error.  Bracket-free text takes one ``str.split``."""
     if not text.strip():
         return []
-    depths = list(itertools.accumulate((ch == "[") - (ch == "]") for ch in text))
-    if min(depths) < 0:
-        raise MatrixParseError(f"unmatched ']' in vector {text!r}")
-    cuts = [-1, *(i for i, ch in enumerate(text) if ch == "," and depths[i] == 0), len(text)]
-    parts = [text[i + 1:j].strip() for i, j in zip(cuts, cuts[1:])]
+    if "[" not in text and "]" not in text:
+        parts = list(map(str.strip, text.split(",")))
+    else:
+        depths = list(itertools.accumulate((ch == "[") - (ch == "]") for ch in text))
+        if min(depths) < 0:
+            raise MatrixParseError(f"unmatched ']' in vector {text!r}")
+        cuts = [-1, *(i for i, ch in enumerate(text) if ch == "," and depths[i] == 0),
+                len(text)]
+        parts = [text[i + 1:j].strip() for i, j in zip(cuts, cuts[1:])]
     if "" in parts:
         raise MatrixParseError(f"empty entry in vector {text!r}")
     return parts
@@ -146,9 +167,9 @@ def parse_vector(ring, text: str, expect: int) -> tuple:
 
 
 def parse_vector_file(ring, path: str, width: int) -> list:
-    """One vector per line, whitespace-separated ring elements."""
-    return [_entries(ring, tokens, width, "vector line", lineno)
-            for lineno, _, tokens in _records(Path(path).read_text())]
+    """One vector per line, whitespace-separated ring elements, read as
+    one block (``_rows``)."""
+    return _rows(ring, list(_records(Path(path).read_text())), width, "vector line")
 
 
 # -- result documents --------------------------------------------------------
@@ -194,8 +215,9 @@ def _dumps(doc, indent="\n") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte.  Any indent sends
     ``json`` to its pure-Python encoder; here strings go through the C
     quoting function, a list of strings in one join, a ``_Formatted``
-    list in one join with no quoting call.  Values dispatch on their exact
-    type, the plain dicts, lists and scalars of a document."""
+    list in one join with no quoting call, and an exact ``int`` through
+    ``str``.  Values dispatch on their exact type, the plain dicts, lists
+    and scalars of a document."""
     inner = indent + "  "
     kind = type(doc)
     if kind is _Formatted:
@@ -214,6 +236,8 @@ def _dumps(doc, indent="\n") -> str:
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is str:
         return _quote(doc)
+    if kind is int:
+        return str(doc)
     return json.dumps(doc)
 
 

@@ -11,8 +11,8 @@ Three families are supported:
 Elements are plain immutable Python values; a ring object interprets
 them.  Every operation returns the canonical representative, so equal
 elements always compare equal structurally.  Each ring owns its text
-format: ``parse`` and ``format`` one element, ``parse_all`` a row of
-tokens.
+format: ``parse`` and ``format`` one element, ``parse_all`` a sequence
+of tokens.
 
 GF(p) and Z/m share one Z/q body, ``ResidueRing``: its element
 arithmetic, parsing and formatting run on the modulus ``q`` alone, and
@@ -146,6 +146,13 @@ class _Ring:
         return tuple(map(self.parse, tokens))
 
 
+@functools.cache
+def _digits(q):
+    """The ``bytes.translate`` table of the ASCII digit d -> d mod q; the
+    other bytes are never read."""
+    return bytes((v - 48) % q if 48 <= v < 58 else 0 for v in range(256))
+
+
 class ResidueRing(_Ring):
     """Z/q with elements the ints in [0, q): the arithmetic GF(p) and Z/m
     share.  Subclasses add their units and inverses."""
@@ -185,8 +192,15 @@ class ResidueRing(_Ring):
     format = str  # a type is no descriptor: ``ring.format`` is ``str``
 
     def parse_all(self, tokens) -> tuple:
-        """``parse`` of each token: one ``int`` pass, and one ``% q`` pass
+        """``parse`` of each token of the sequence ``tokens``.  When every
+        token is one ASCII digit, one ``bytes.translate`` of their join
+        through ``_digits``; else one ``int`` pass, and one ``% q`` pass
         only when some value lies outside [0, q)."""
+        text = "".join(tokens)
+        # equal lengths with an empty token would hide a longer one
+        if (len(text) == len(tokens) and text.isascii() and text.isdigit()
+                and "" not in tokens):
+            return tuple(text.encode().translate(_digits(self.q)))
         v = tuple(map(int, tokens))
         if v and (min(v) < 0 or max(v) >= self.q):
             return tuple(map(self.q.__rmod__, v))

@@ -105,6 +105,27 @@ def test_free_boundary_always_admissible():
         count += 1
 
 
+@pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30)], ids=repr)
+@pytest.mark.parametrize("boundary", ["free", "fixed", "periodic"])
+def test_unreduced_entries_are_reduced(ring, boundary):
+    """Inputs and x0 with entries below 0, at or above q, bools and an
+    integral float read as their residues, as ``ring.normalize`` reads
+    them: the trajectory is the one of the reduced entries, held as plain
+    ints in [0, q).  Seed 1 makes every boundary admissible."""
+    q = ring.q
+    rng = random.Random(1)
+    sys = SystemPair(random_matrix(ring, 3, 3, rng), random_matrix(ring, 3, 2, rng))
+    raw = ((-1, q), (True, 2 * q + 3), (False, -q - 2), (2**70 + 1, float(q - 1)))
+    raw_x0 = (-5, True, 3 * q) if boundary == "fixed" else None
+    reduced = tuple(tuple(map(ring.normalize, u)) for u in raw)
+    x0 = tuple(map(ring.normalize, raw_x0)) if raw_x0 else None
+    got = admissible(sys, AdmissibleInputQuery(raw, boundary, raw_x0))
+    want = admissible(sys, AdmissibleInputQuery(reduced, boundary, x0))
+    assert got is not None and got == want
+    assert got.inputs == reduced
+    assert all(type(e) is int and 0 <= e < q for v in got.inputs + got.states for e in v)
+
+
 def test_fixed_boundary_runs_from_x0():
     sys = delay_system()
     q = AdmissibleInputQuery(((1,),), boundary="fixed", x0=(1, 1))

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kerpair import (
+    KerpairError,
     Matrix,
     MatrixParseError,
     ModRing,
     PolyRing,
     PrimeField,
     Submodule,
+    make_ring,
     nullspace,
 )
 from kerpair.cli import (
@@ -903,20 +905,25 @@ def mutate_lines(rng, lines, pool):
     return lines
 
 
+def mutated_golden_inputs():
+    """(stem, text) for 300 seeded mutations of the golden matrix files."""
+    rng = random.Random(2016)
+    files = {path.stem: path.read_text().splitlines()
+             for path in sorted(GOLDEN_IN.glob("*.txt"))}
+    pool = [line for lines in files.values() for line in lines]
+    for _ in range(300):
+        stem = rng.choice(sorted(FUZZ_VECTORS))
+        yield stem, "\n".join(mutate_lines(rng, files[stem], pool)) + "\n"
+
+
 def test_cli_survives_mutated_golden_inputs(tmp_path):
     """300 seeded mutations of the golden matrix files: kernel, kernel-pair,
     member and verify each exit 0, 1 or 2 without an escaping exception,
     and the parser either returns or raises a MatrixParseError that names
     its line."""
-    rng = random.Random(2016)
-    files = {path.stem: path.read_text().splitlines()
-             for path in sorted(GOLDEN_IN.glob("*.txt"))}
-    pool = [line for lines in files.values() for line in lines]
     commands = (["kernel", "FILE", "A"], ["kernel-pair", "FILE", "A", "B"],
                 ["member", "FILE", "A", "B", None], ["verify", "FILE", "A", "B", "--trials", "1"])
-    for k in range(300):
-        stem = rng.choice(sorted(FUZZ_VECTORS))
-        text = "\n".join(mutate_lines(rng, files[stem], pool)) + "\n"
+    for k, (stem, text) in enumerate(mutated_golden_inputs()):
         try:
             parse_matrix_file(text)
         except MatrixParseError as exc:
@@ -926,3 +933,156 @@ def test_cli_survives_mutated_golden_inputs(tmp_path):
         for command in commands:
             argv = [str(path) if a == "FILE" else a or FUZZ_VECTORS[stem] for a in command]
             assert main(argv, out=io.StringIO()) in (0, 1, 2), (argv, text)
+
+
+# -- the block reader against the line-at-a-time reader ------------------------
+# The reference is the reader as it stood before matrices and vector files
+# were read a block at a time, kept verbatim as ref_eliminate is kept.
+
+
+def ref_records(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, raw, tokens
+
+
+def ref_entries(ring, tokens, expect: int, what: str, line=None) -> tuple:
+    if len(tokens) != expect:
+        raise MatrixParseError(f"{what} has {len(tokens)} entries, expected {expect}",
+                               line=line)
+    try:
+        return ring.parse_all(tokens)
+    except ValueError as exc:
+        raise MatrixParseError(str(exc), line=line)
+
+
+def ref_parse_matrix_file(text: str):
+    ring = None
+    matrices = {}
+    records = ref_records(text)
+    for lineno, raw, tokens in records:
+        if ring is None:
+            if tokens[0] != "ring" or len(tokens) != 3:
+                raise MatrixParseError(
+                    f"expected 'ring <gf|zmod|polygf> <parameter>', got {raw!r}",
+                    line=lineno)
+            try:
+                ring = make_ring(tokens[1], int(tokens[2]))
+            except (ValueError, KerpairError) as exc:
+                raise MatrixParseError(str(exc), line=lineno)
+            continue
+        if tokens[0] != "matrix" or len(tokens) != 4:
+            raise MatrixParseError(
+                f"expected 'matrix <NAME> <rows> <cols>', got {raw!r}", line=lineno)
+        name = tokens[1]
+        if name in matrices:
+            raise MatrixParseError(f"duplicate matrix name {name!r}", line=lineno)
+        try:
+            nrows, ncols = int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise MatrixParseError(f"bad dimensions in {raw!r}", line=lineno)
+        if nrows < 0 or ncols < 0:
+            raise MatrixParseError(f"negative dimensions in {raw!r}", line=lineno)
+        rows = [] if ncols else [()] * nrows  # n x 0 takes no row lines
+        what = f"matrix {name!r} row"
+        while len(rows) < nrows:
+            if (record := next(records, None)) is None:
+                raise MatrixParseError(
+                    f"matrix {name!r} ends after {len(rows)} of {nrows} rows",
+                    line=len(text.splitlines()))
+            lineno, _, tokens = record
+            rows.append(ref_entries(ring, tokens, ncols, what, lineno))
+        matrices[name] = Matrix._canonical(ring, nrows, ncols, rows)
+    if ring is None:
+        raise MatrixParseError("empty matrix file", line=1)
+    return ring, matrices
+
+
+def ref_parse_vector_file(ring, path: str, width: int) -> list:
+    return [ref_entries(ring, tokens, width, "vector line", lineno)
+            for lineno, _, tokens in ref_records(Path(path).read_text())]
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, matrices as (name, shape, entries), or the
+    (message, line) of the MatrixParseError it raises."""
+    try:
+        got = parse(*args)
+    except MatrixParseError as exc:
+        return "error", str(exc), exc.line
+    if isinstance(got, tuple):
+        ring, matrices = got
+        return ring, [(name, m.nrows, m.ncols, m.entries) for name, m in matrices.items()]
+    return got
+
+
+#: the ring of each golden file, for reading its rows as a vector file
+FUZZ_RINGS = {"gf5": PrimeField(5), "zmod30": ModRing(30), "zmod12": ModRing(12),
+              "polygf5": PolyRing(5), "polygf30": PolyRing(30)}
+
+
+def test_block_reader_matches_line_reader_on_mutated_golden_inputs(tmp_path):
+    """On the fuzz guard's 300 mutated golden inputs: the same (ring,
+    matrices) or the same error and line; and, read as a vector file once
+    the header lines are dropped, the same vectors or error."""
+    path = tmp_path / "v.txt"
+    outcomes = set()
+    for stem, text in mutated_golden_inputs():
+        want = outcome(ref_parse_matrix_file, text)
+        assert outcome(parse_matrix_file, text) == want, text
+        lines = [line for line in text.splitlines()
+                 if line.split()[:1] not in (["ring"], ["matrix"])]
+        path.write_text("\n".join(lines) + "\n")
+        width = len(next(ref_records(path.read_text()), (0, "", ()))[2])
+        vectors = outcome(ref_parse_vector_file, FUZZ_RINGS[stem], str(path), width)
+        assert outcome(parse_vector_file, FUZZ_RINGS[stem], str(path), width) == vectors, lines
+        outcomes.update((want[0] == "error", vectors[0] == "error"))
+    assert outcomes == {True, False}  # both readers both parse and fail
+
+
+@pytest.mark.parametrize("text,message,line", [
+    # the block ends early, after a row with a bad count
+    ("ring gf 5\nmatrix A 3 2\n1 2\n3\n", "matrix 'A' row has 1 entries, expected 2", 4),
+    # a bad token in row 1 comes before a bad count in row 2
+    ("ring gf 5\nmatrix A 2 2\n1 x\n1 2 3\n", "invalid literal for int() with base 10: 'x'", 3),
+    ("ring gf 5\nmatrix A 2 2\n1 2 3\n1 x\n", "matrix 'A' row has 3 entries, expected 2", 3),
+    # a bad token in a later row, after one-digit rows
+    ("ring gf 5\nmatrix A 3 2\n1 2\n3 4\n12 -\n",
+     "invalid literal for int() with base 10: '-'", 5),
+    # comment and blank lines inside a block
+    ("ring gf 5\nmatrix A 3 2\n1 2\n\n# c\n3 4\n   \n5 x\n",
+     "invalid literal for int() with base 10: 'x'", 8),
+    ("ring gf 5\nmatrix A 3 2\n1 2\n# c\n\n3 4\n", "matrix 'A' ends after 2 of 3 rows", 6),
+    # the next header read as a row
+    ("ring gf 5\nmatrix A 2 2\n1 2\nmatrix B 1 1\n1\n",
+     "matrix 'A' row has 4 entries, expected 2", 4),
+])
+def test_block_reader_reports_the_first_error_in_file_order(text, message, line):
+    assert outcome(parse_matrix_file, text) == outcome(ref_parse_matrix_file, text) \
+        == ("error", message, line)
+
+
+@pytest.mark.parametrize("text", [
+    "ring gf 5\nmatrix A 3 2\n1 2\n\n# c\n3 4\n   \n5 6\nmatrix B 3 1\n# c\n7\n8\n9\n",
+    "ring gf 5\nmatrix A 3 0\nmatrix B 3 1\n1\n2\n3\n",
+    "ring gf 5\nmatrix A 0 2\nmatrix B 0 0\n",
+    "ring zmod 10\nmatrix A 2 3\n9 0 5\n-1 10 007\n",
+    "ring polygf 7\nmatrix A 2 2\n[1,2] 3\n[] [0,0,1]\n",
+])
+def test_block_reader_reads_like_line_reader(text):
+    got = outcome(parse_matrix_file, text)
+    assert got[0] != "error" and got == outcome(ref_parse_matrix_file, text)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1 2\n# c\n\n3 4\n", [(1, 2), (3, 4)]),
+    ("1 2\n3\n4 x\n", ("error", "vector line has 1 entries, expected 2", 2)),
+    ("1 x\n3\n", ("error", "invalid literal for int() with base 10: 'x'", 1)),
+    ("", []),
+])
+def test_vector_file_block_reader(tmp_path, text, want):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    for parse in (parse_vector_file, ref_parse_vector_file):
+        assert outcome(parse, PrimeField(5), str(path), 2) == want

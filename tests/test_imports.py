@@ -2,7 +2,9 @@
 
 kerpair has no runtime dependency: every import is of the standard
 library or of the package itself.  polykernel's private helpers stay
-private: no other module imports an underscore name from it.
+private: no other module imports an underscore name from it.  Every
+source, test and bench file parses as Python 3.10, the oldest version
+pyproject.toml admits.
 """
 
 import ast
@@ -11,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kerpair"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kerpair"
 MODULES = sorted(SRC.glob("*.py"))
+PYTHON_FILES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def imports(path):
@@ -38,3 +42,8 @@ def test_no_private_polykernel_imports(path):
     private = [name for level, module, names in imports(path)
                if level and module == "polykernel" for name in names if name.startswith("_")]
     assert private == []
+
+
+@pytest.mark.parametrize("path", PYTHON_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parses_as_python_3_10(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -200,6 +200,34 @@ def test_parse_all_raises_like_parse(ring, bad):
     assert str(got.value) == str(expected.value)
 
 
+#: one-digit tokens (the ``bytes.translate`` path) beside every form it
+#: must leave to ``int``: signs, leading zeros, underscores, non-ASCII
+#: digits ``int`` accepts, a digit it rejects, letters, an empty token
+#: and padding
+DIGIT_EDGE_TOKENS = st.one_of(
+    st.sampled_from("0123456789"), st.integers(10, 10**30).map(str),
+    st.sampled_from(["-1", "-0", "+3", "07", "1_0", "٣", "１", "²", "x",
+                     "", " 7"]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 10, 11, 101, 2**61 - 1])
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(DIGIT_EDGE_TOKENS, max_size=12))
+def test_parse_all_is_int_mod_q(q, tokens):
+    """``parse_all`` is ``int(t) % q`` token by token, or raises the
+    ``ValueError`` of the first token ``int`` rejects."""
+    ring = PrimeField(q) if is_prime(q) else ModRing(q)
+    try:
+        want = tuple(int(t) % q for t in tokens)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ring.parse_all(tokens)
+        assert str(got.value) == str(exc)
+    else:
+        got = ring.parse_all(tokens)
+        assert got == want and all(type(v) is int for v in got)
+
+
 def test_poly_parse_forms():
     ring = PolyRing(2)
     assert ring.parse("[0]") == ()
