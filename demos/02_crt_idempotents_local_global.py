@@ -16,9 +16,7 @@ from kerpair import (
     admissible_set,
     base_change_check,
     idempotents,
-    ker_bar_count,
     kernel_pair_crt,
-    quotient_form_crt,
 )
 
 dec = idempotents(30)
@@ -39,16 +37,16 @@ print("A = [15], B = [10] over Z/30")
 for p, local in zip(result.primes, result.local_results):
     print(f"  mod {p}: ker_bar rank {local.ker_bar.dim}")
 # mod 2 A is a unit (onto); mod 3 forces u = 0; mod 5 B vanishes
-print("glued kernel size:", result.glued.size())
-print("glued generators :", result.glued.generators())
+print("glued kernel size:", result.ker_bar.size())
+print("glued generators :", result.ker_bar.generators())
 print()
 
 members = admissible_set(A, B)
 print("enumerated admissible u:", [u[0] for u in members])
-print("count matches ker_bar_count:", len(members) == ker_bar_count(A, B))
+print("count matches ker_bar_count:", len(members) == result.ker_bar.size())
 print()
 
 print("per-prime (dim ker_pair, dim ker_f1, dim ker_bar):",
-      quotient_form_crt(A, B))
+      [(r.ker_pair.dim, r.ker_f1.dim, r.ker_bar.dim) for r in result.local_results])
 for i, p in enumerate(result.primes):
     print(f"base change mod {p}:", base_change_check(A, B, i) or "ok")

@@ -12,12 +12,11 @@ Run: python3 demos/03_polynomial_matrix_kernels.py
 from kerpair import (
     Matrix,
     PolyRing,
-    hermite_form,
+    hermite_basis,
+    hermite_with_transform,
     kernel_pair_poly,
-    kernel_via_unimodular,
     poly_kernel,
     poly_member,
-    submodule_equal,
 )
 
 R = PolyRing(3)
@@ -38,26 +37,26 @@ print("kernel basis:", [show(c) for c in kb.basis.columns()],
 
 alt = Matrix.from_columns(R, [((0, 2), (1,))], nrows=2)  # (2z, 1)
 print("same module as span{(2z, 1)}:",
-      submodule_equal(kb.submodule,
-                      poly_kernel(Matrix(R, 1, 2, [[(1,), z]])).submodule))
+      kb == poly_kernel(Matrix(R, 1, 2, [[(1,), z]])))
 print()
 
 # Hermite form canonicalizes any spanning set: monic pivots on strictly
 # increasing rows, earlier entries degree-reduced.
 G = Matrix.from_columns(R, [((0, 2),), ((0, 0, 1),)], nrows=1)  # [2z, z^2]
-print("hermite([2z, z^2]) =", [show(c) for c in hermite_form(G).columns()])
+print("hermite([2z, z^2]) =", [show(c) for c in hermite_basis(G).basis.columns()])
 print()
 
 # The construction behind poly_kernel: column-reduce [A] by a unimodular
-# U so A.U = [H | 0]; the trailing columns of U are a kernel basis.  The
-# two lines agree by construction (kernel_via_unimodular is an alias);
-# the first label keeps its old wording so the printed output is stable.
+# U so A.U = [H | 0]; the trailing columns of U are a kernel basis, here
+# already the canonical one.  The first label keeps its old wording so
+# the printed output is stable.
 B = Matrix(R, 1, 2, [[z, z]])
+H, U, _ = hermite_with_transform(B)
 print("A = [z, z]")
 print("  degree sweep     :",
       [show(c) for c in poly_kernel(B).basis.columns()])
 print("  unimodular route :",
-      [show(c) for c in kernel_via_unimodular(B).basis.columns()])
+      [show(c) for c in U.columns()[H.ncols:]])
 print()
 
 # ker(f1|f2) over GF(p)[z]: membership of u means A x = -B u is

@@ -25,20 +25,14 @@ from .behavior import (
     simulate,
 )
 from .crt import (
-    CrtDecomposition,
     LocalGlobalResult,
     base_change_check,
-    base_change_check as poly_base_change_check,
     idempotents,
     kernel_pair_crt,
-    ker_bar_count,
-    quotient_form_crt,
     reduce_matrix,
-    reduce_matrix as reduce_poly_matrix,
 )
 from .errors import (
     AmbientMismatchError,
-    BaseChangeViolatedError,
     CompositeModulusError,
     ConsistencyViolatedError,
     DimensionMismatchError,
@@ -77,30 +71,25 @@ from .linalg import (
     random_matrix,
     rref,
     solve,
-    submodule_equal,
-    submodule_member,
+    vector_degree,
 )
 from .matrix import Matrix, hstack, vstack
 from .polykernel import (
-    PolyKernelBasis,
     hermite_basis,
-    hermite_form,
     hermite_with_transform,
     kernel_pair_poly,
     kernel_pair_poly_crt,
     kernel_vectors_up_to,
-    kernel_via_unimodular,
     matrix_degree,
     poly_kernel,
     poly_member,
     poly_solve,
     random_unimodular,
     rank_over_fractions,
-    vector_degree,
 )
 from .rings import ModRing, PolyRing, PrimeField, make_ring
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 
 def kernel_of_pair(a: Matrix, b: Matrix, method: str = "auto"):

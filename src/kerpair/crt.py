@@ -32,10 +32,6 @@ from .polykernel import kernel_pair_poly, poly_kernel, poly_solve
 from .rings import ModRing, PolyRing, PrimeField, ResidueRing, Split, is_local, split_ring
 
 
-#: Another name for ``rings.Split``, the record ``idempotents`` returns.
-CrtDecomposition = Split
-
-
 def idempotents(m: int) -> Split:
     """Structural idempotents of square-free m, ascending prime order: the
     Split of Z/m, with its ``primes``, ``idempotents`` and ``check_laws``."""
@@ -84,6 +80,7 @@ def solve(a: Matrix, c) -> tuple | None:
     return None if None in parts else split.glue(parts)
 
 
+#: The method ``auto`` runs over each ring family, and the name its results carry.
 _FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
 
 
@@ -128,14 +125,6 @@ class LocalGlobalResult(KernelPairResult):
     local_results: tuple
     local_pairs: tuple
 
-    glued = property(lambda self: self.ker_bar)
-    glued_pair = property(lambda self: self.ker_pair)
-    glued_f1 = property(lambda self: self.ker_f1)
-
-    @property
-    def local_kernels(self) -> tuple:
-        return tuple(r.ker_bar for r in self.local_results)
-
 
 def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
     """ker(f1|f2) over Z/m or (Z/m)[z], m square-free (a prime m gives one
@@ -153,7 +142,7 @@ def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
 
     return LocalGlobalResult(
         ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),
-        ker_bar=glue("ker_bar", b.ncols), method="projection",
+        ker_bar=glue("ker_bar", b.ncols), method=_FAMILY_METHOD[type(a.ring)],
         primes=split.primes, local_results=locals_, local_pairs=pairs)
 
 
@@ -194,21 +183,3 @@ def base_change_check(a: Matrix, b: Matrix, i: int) -> list:
     """base_change_violations of the glued kernel pair of A and B over
     Z/m or (Z/m)[z] at the i-th prime."""
     return base_change_violations(glue_kernel_pair(a, b), i)
-
-
-def quotient_form_crt(a: Matrix, b: Matrix) -> list:
-    """Per-prime dimension triples (dim ker_pair, dim ker_f1, dim ker_bar).
-
-    Over each factor field the exact sequence forces
-    dim ker_bar = dim ker_pair - dim ker_f1; the global kernel count is
-    the product of p_i to the local ker_bar dimension.
-    """
-    result = kernel_pair_crt(a, b)
-    return [(r.ker_pair.dim, r.ker_f1.dim, r.ker_bar.dim)
-            for r in result.local_results]
-
-
-def ker_bar_count(a: Matrix, b: Matrix) -> int:
-    """|ker(f1|f2)| over square-free Z/m."""
-    result = kernel_pair_crt(a, b)
-    return result.glued.size()

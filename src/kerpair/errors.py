@@ -56,10 +56,6 @@ class IdentityViolatedError(KerpairError):
     """An automorphism identity failed on a concrete instance."""
 
 
-class BaseChangeViolatedError(KerpairError):
-    """Reduction of a glued kernel disagreed with the local kernel."""
-
-
 class ConsistencyViolatedError(KerpairError):
     """A computed result failed its own invariant: a witness that does not
     verify, a kernel vector without a section witness, a periodic solve

@@ -111,7 +111,10 @@ def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
     ker_f1, ker_bar and the x-parts ``xs`` of the section: one x with
     A x = -B u per ker_bar basis vector u.  The section is [xs ; ker_bar's
     basis], and ker(f1,f2) is spanned by iota(ker_f1) and the section: it
-    is iota(ker_f1) itself, with ker_f1's pivot rows, when ker_bar = 0."""
+    is iota(ker_f1) itself, with ker_f1's pivot rows, when ker_bar = 0.
+    The result names its ring family's method, projection or poly."""
+    from .crt import _FAMILY_METHOD
+
     ring, q1, q2 = ker_f1.ring, ker_f1.ambient, ker_bar.ambient
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))
@@ -122,7 +125,7 @@ def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
     else:
         ker_pair = _span(ring, q1 + q2, iota_f1.columns() + section.columns())
     result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
-                              method="projection")
+                              method=_FAMILY_METHOD[type(ring)])
     return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
 
 

@@ -290,12 +290,6 @@ class Submodule:
         """Degree of each basis column over GF(p)[z]."""
         return tuple(map(vector_degree, self.basis.columns()))
 
-    @property
-    def submodule(self) -> "Submodule":
-        """The presentation itself; ``PolyKernelBasis`` is another name for
-        this class."""
-        return self
-
     def size(self):
         """Number of elements; None over polynomial rings."""
         if self.ring.size is None:
@@ -382,19 +376,6 @@ class Submodule:
                     f"components={self.components!r})")
         return (f"Submodule({self.ring!r}, ambient={self.ambient}, "
                 f"rank={self.basis.ncols})")
-
-
-def submodule_equal(s: Submodule, t: Submodule) -> bool:
-    """Set equality of two submodules via their canonical presentations."""
-    if s.ring != t.ring or s.ambient != t.ambient:
-        raise AmbientMismatchError("comparing submodules of different ambient modules")
-    return s == t
-
-
-def submodule_member(v, s: Submodule):
-    """Membership with expressing coordinates; (True, coords) or (False, None)."""
-    coords = s.contains(v)
-    return (coords is not None), coords
 
 
 # -- random instances (seeded; used by tests and the verify command) -------

@@ -30,7 +30,7 @@ from .errors import (
     RingMismatchError,
 )
 from .kernel import _check_pair, _split
-from .linalg import Submodule, _span, nullspace, vector_degree  # noqa: F401 -- re-exported
+from .linalg import Submodule, _span, nullspace
 from .matrix import Matrix, vstack
 from .rings import PolyRing, PrimeField
 
@@ -44,10 +44,6 @@ def matrix_degree(a: Matrix) -> int:
     """Largest entry degree; 0 for a zero (or empty) matrix."""
     degs = [len(e) - 1 for row in a.entries for e in row if e]
     return max(degs, default=0)
-
-
-#: Another name for ``Submodule``, which poly_kernel and hermite_basis return.
-PolyKernelBasis = Submodule
 
 
 def rank_over_fractions(a: Matrix) -> int:
@@ -189,21 +185,12 @@ def hermite_with_transform(g: Matrix):
     return _with_transform(g, back_reduce=True)
 
 
-def hermite_form(g: Matrix) -> Matrix:
-    """Column Hermite normal form of the column span of g."""
-    return hermite_basis(g).basis
-
-
 def hermite_basis(g: Matrix) -> Submodule:
     """Column Hermite basis of the column span of g, without a transform."""
     basis, _, pivots = _hermite(g.ring, g.columns(), g.nrows)
     rows = list(zip(*basis)) if basis else [()] * g.nrows
     return Submodule(g.ring, g.nrows, basis=Matrix._canonical(g.ring, g.nrows, len(basis), rows),
                      pivot_rows=pivots)
-
-
-#: ker(A) as a submodule: another name for poly_kernel.
-kernel_via_unimodular = poly_kernel
 
 
 def _solve_columns(reduction, cs) -> list:

@@ -16,17 +16,14 @@ from kerpair import (
     admissible_set,
     base_change_check,
     idempotents,
-    ker_bar_count,
     kernel_of_pair,
     kernel_pair_crt,
     kernel_pair_oracle,
     kernel_pair_poly,
     kernel_pair_poly_crt,
     kernel_pair_projection,
-    quotient_form_crt,
     random_matrix,
     reduce_matrix,
-    submodule_equal,
 )
 from kerpair.rings import split_ring
 from conftest import pair_instances, span_elements
@@ -89,20 +86,20 @@ def test_worked_example_z30():
     b = Matrix(Z30, 1, 1, [[10]])
     result = kernel_pair_crt(a, b)
     # mod 2: A=[1] onto -> full; mod 3: A=0,B=[1] -> zero; mod 5: B=0 -> full
-    assert [k.dim for k in result.local_kernels] == [1, 0, 1]
-    assert result.glued.size() == 2 * 1 * 5
-    assert span_elements(result.glued) == {(u,) for u in range(0, 30, 3)}
-    assert submodule_equal(result.glued, kernel_pair_oracle(a, b))
+    assert [r.ker_bar.dim for r in result.local_results] == [1, 0, 1]
+    assert result.ker_bar.size() == 2 * 1 * 5
+    assert span_elements(result.ker_bar) == {(u,) for u in range(0, 30, 3)}
+    assert result.ker_bar == kernel_pair_oracle(a, b)
 
 
 def test_degenerate_crt_inputs():
     a = Matrix.zeros(Z6, 2, 2)
     b = Matrix.identity(Z6, 2)
-    assert kernel_pair_crt(a, b).glued.is_zero()
-    assert kernel_pair_crt(Matrix.identity(Z6, 2), b).glued.is_full()
+    assert kernel_pair_crt(a, b).ker_bar.is_zero()
+    assert kernel_pair_crt(Matrix.identity(Z6, 2), b).ker_bar.is_full()
     b0 = Matrix.zeros(Z6, 2, 2)
     res = kernel_pair_crt(Matrix(Z6, 2, 2, [[1, 2], [3, 4]]), b0)
-    assert res.glued.is_full()
+    assert res.ker_bar.is_full()
 
 
 def test_gluing_matches_membership():
@@ -117,13 +114,13 @@ def test_gluing_matches_membership():
                 result.local_results[i].ker_bar.contains(
                     tuple(x % p for x in u)) is not None
                 for i, p in enumerate(result.primes))
-            assert (result.glued.contains(u) is not None) == local_ok
+            assert (result.ker_bar.contains(u) is not None) == local_ok
 
 
 def test_glued_agrees_with_admissible_set():
     for a, b in pair_instances(Z6, 30, seed=211, max_rows=2, max_q1=2, max_q2=2):
         result = kernel_pair_crt(a, b)
-        assert span_elements(result.glued) == set(admissible_set(a, b))
+        assert span_elements(result.ker_bar) == set(admissible_set(a, b))
 
 
 def test_base_change_worked_example():
@@ -164,32 +161,38 @@ def test_glued_kernel_pairs_go_through_the_backend_table(table, entry, ring, mon
     assert result.primes == (2, 3, 5)
 
 
+def local_dims(a, b) -> list:
+    """(dim ker_pair, dim ker_f1, dim ker_bar) at each prime."""
+    return [(r.ker_pair.dim, r.ker_f1.dim, r.ker_bar.dim)
+            for r in kernel_pair_crt(a, b).local_results]
+
+
 def test_quotient_form_z6():
     a = Matrix(Z6, 1, 1, [[3]])
     b = Matrix(Z6, 1, 1, [[2]])
     # mod 2: A=[1] onto, pair=ker[1 0] dim 1, f1 dim 0, bar dim 1
     # mod 3: A=0 B=[2], pair=ker[0 2] dim 1, f1 dim 1, bar dim 0
-    assert quotient_form_crt(a, b) == [(1, 0, 1), (1, 1, 0)]
-    assert ker_bar_count(a, b) == 2
-    assert span_elements(kernel_pair_crt(a, b).glued) == {(0,), (3,)}
+    assert local_dims(a, b) == [(1, 0, 1), (1, 1, 0)]
+    assert kernel_of_pair(a, b).ker_bar.size() == 2
+    assert span_elements(kernel_pair_crt(a, b).ker_bar) == {(0,), (3,)}
 
 
 def test_quotient_form_zero_maps():
     a = Matrix.zeros(Z6, 1, 1)
     b = Matrix.zeros(Z6, 1, 1)
-    assert quotient_form_crt(a, b) == [(2, 1, 1), (2, 1, 1)]
-    assert ker_bar_count(a, b) == 6
+    assert local_dims(a, b) == [(2, 1, 1), (2, 1, 1)]
+    assert kernel_of_pair(a, b).ker_bar.size() == 6
 
 
 def test_ker_bar_count_matches_oracle():
     for a, b in pair_instances(Z30, 15, seed=227, max_rows=2,
                                max_q1=2, max_q2=2):
-        assert ker_bar_count(a, b) == len(admissible_set(a, b))
+        assert kernel_of_pair(a, b).ker_bar.size() == len(admissible_set(a, b))
 
 
 def test_local_exactness_dimensions():
     for a, b in pair_instances(Z30, 20, seed=229):
-        for pair_dim, f1_dim, bar_dim in quotient_form_crt(a, b):
+        for pair_dim, f1_dim, bar_dim in local_dims(a, b):
             assert pair_dim == f1_dim + bar_dim
 
 
@@ -210,8 +213,8 @@ def test_generators_live_in_glued_kernel():
     b = Matrix(Z30, 1, 2, [[10, 3]])
     result = kernel_pair_crt(a, b)
     members = set(admissible_set(a, b))
-    for g in result.glued.generators():
-        assert result.glued.contains(g) is not None
+    for g in result.ker_bar.generators():
+        assert result.ker_bar.contains(g) is not None
         assert g in members
 
 
@@ -232,6 +235,20 @@ def test_kernel_of_pair_single_dispatch(ring, family_entry, inapplicable):
             assert kernel_of_pair(a, b, method="oracle").ker_bar == result.ker_bar
         with pytest.raises(MethodUnavailableError):
             kernel_of_pair(a, b, method=inapplicable)
+
+
+@pytest.mark.parametrize("ring, method", [
+    (PrimeField(5), "projection"),
+    (ModRing(30), "crt"),
+    (PolyRing(5), "poly"),
+    (PolyRing(30), "poly"),
+], ids=["GF(5)", "Z/30", "GF(5)[z]", "(Z/30)[z]"])
+def test_result_names_its_family_method(ring, method):
+    """Auto and the family's own method both report that method."""
+    for a, b in pair_instances(ring, 3, seed=251, max_rows=2, max_q1=2,
+                               max_q2=2, max_degree=1):
+        assert crt.kernel_pair(a, b)[0].method == method
+        assert crt.kernel_pair(a, b, method)[0].method == method
 
 
 # A = [[6, 10 z], [0, 15]] reduces to [[0, 0], [0, 1]] mod 2, [[0, z], [0, 0]]

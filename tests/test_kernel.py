@@ -29,7 +29,6 @@ from kerpair import (
     quotient_map,
     random_invertible,
     random_matrix,
-    submodule_equal,
 )
 from kerpair.kernel import _check_pair
 from kerpair.rings import split_ring
@@ -80,7 +79,7 @@ def test_zero_f1_gives_nullspace_of_b():
     b = Matrix(GF3, 2, 2, [[1, 2], [0, 0]])
     a = Matrix.zeros(GF3, 2, 2)
     for method in METHODS:
-        assert submodule_equal(kernel_pair_field(a, b, method).ker_bar, nullspace(b))
+        assert kernel_pair_field(a, b, method).ker_bar == nullspace(b)
 
 
 def test_onto_f1_gives_full():
@@ -138,7 +137,7 @@ def test_methods_agree_and_oracle_confirms():
                 assert res.ker_bar == first  # identical presentations
             if ring.size ** b.ncols <= 700:
                 oracle = kernel_pair_oracle(a, b)
-                assert submodule_equal(oracle, first)
+                assert oracle == first
 
 
 def test_cardinality_identity():

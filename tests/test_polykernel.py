@@ -8,32 +8,26 @@ import kerpair.polykernel as polykernel
 from kerpair import (
     Matrix,
     NotAFieldError,
-    PolyKernelBasis,
     PolyRing,
     PrimeField,
     Submodule,
     check_witness,
     hstack,
     hermite_basis,
-    hermite_form,
     hermite_with_transform,
     kernel_pair_poly,
     kernel_pair_poly_crt,
     kernel_vectors_up_to,
-    kernel_via_unimodular,
     matrix_degree,
-    poly_base_change_check,
     poly_kernel,
     poly_member,
     poly_solve,
     random_matrix,
     random_unimodular,
     rank_over_fractions,
-    reduce_poly_matrix,
-    submodule_equal,
     vector_degree,
 )
-from kerpair.crt import kernel_pair
+from kerpair.crt import base_change_check, kernel_pair, reduce_matrix
 
 F2Z = PolyRing(2)
 F3Z = PolyRing(3)
@@ -146,17 +140,16 @@ def test_kernel_canonical_basis_gf3():
     assert kb.rank == 1
     assert kb.basis.columns() == [((0, 1), (2,))]  # (z, 2)
     # (2z, 1) spans the same module: membership both ways
-    sub = kb.submodule
-    other = hermite_basis(Matrix.from_columns(F3Z, [((0, 2), (1,))], nrows=2)).submodule
-    assert submodule_equal(sub, other)
-    assert sub.contains(((0, 2), (1,))) == ((2,),)
+    other = hermite_basis(Matrix.from_columns(F3Z, [((0, 2), (1,))], nrows=2))
+    assert kb == other
+    assert kb.contains(((0, 2), (1,))) == ((2,),)
 
 
 def test_zero_and_full_kernels():
     assert poly_kernel(pm(F2Z, [[(1,), ()], [(), (1,)]])).rank == 0
     kb = poly_kernel(Matrix.zeros(F2Z, 2, 2))
     assert kb.rank == 2
-    assert kb.submodule.is_full()
+    assert kb.is_full()
 
 
 def test_matrix_and_vector_degrees():
@@ -207,19 +200,17 @@ def test_hermite_matches_reference_exactly():
         assert hermite_with_transform(g) == (h, u, pivots)
         basis = hermite_basis(g)
         assert (basis.basis, basis.pivot_rows, basis.rank) == (h, pivots, h.ncols)
-        assert hermite_form(g) == h
         assert rank_over_fractions(g) == len(pivots)
-        assert Submodule.from_columns(g.ring, g.nrows, g.columns()) == basis.submodule
+        assert Submodule.from_columns(g.ring, g.nrows, g.columns()) == basis
 
 
 def test_kernel_and_hermite_bases_are_submodules():
-    """poly_kernel and hermite_basis return the canonical Submodule itself:
-    PolyKernelBasis is its old name, .submodule the object, and the
-    column degrees are read off its basis."""
+    """poly_kernel and hermite_basis return the canonical Submodule itself,
+    and the column degrees are read off its basis."""
     for g in _hermite_cases():
         for kb in (poly_kernel(g), hermite_basis(g)):
             same = Submodule.from_columns(g.ring, kb.ambient, kb.basis.columns())
-            assert isinstance(kb, PolyKernelBasis) and kb.submodule is kb
+            assert isinstance(kb, Submodule)
             assert kb == same and hash(kb) == hash(same)
             assert kb.column_degrees == tuple(map(vector_degree, kb.basis.columns()))
 
@@ -254,16 +245,15 @@ def test_echelon_reduction_gives_the_hermite_witnesses():
 
 def test_hermite_fixture_scaling():
     g = Matrix.from_columns(F3Z, [((0, 2),)], nrows=1)  # [2z]
-    assert hermite_form(g).columns() == [((0, 1),)]     # monic: [z]
+    assert hermite_basis(g).basis.columns() == [((0, 1),)]  # monic: [z]
 
 
 def test_hermite_drops_dependent_column():
     v = ((1, 1), (0, 1))
     zv = tuple(F2Z.mul(Z, e) for e in v)
     g = Matrix.from_columns(F2Z, [v, zv], nrows=2)
-    h = hermite_form(g)
-    assert h.ncols == 1
-    sub = hermite_basis(g).submodule
+    sub = hermite_basis(g)
+    assert sub.basis.ncols == 1
     assert sub.contains(zv) is not None
     assert sub.contains(v) is not None
     assert sub.contains(((1,), ())) is None
@@ -274,8 +264,8 @@ def test_hermite_idempotent():
     for _ in range(40):
         g = random_matrix(F3Z, rng.randint(1, 3), rng.randint(1, 3), rng,
                           max_degree=2)
-        h = hermite_form(g)
-        assert hermite_form(h) == h
+        h = hermite_basis(g).basis
+        assert hermite_basis(h).basis == h
 
 
 def test_hermite_transform_is_unimodular_factorization():
@@ -297,7 +287,7 @@ def test_hermite_canonical_under_unimodular_action():
             n = rng.randint(1, 3)
             g = random_matrix(ring, rng.randint(1, 3), n, rng, max_degree=2)
             u = random_unimodular(ring, n, rng)
-            assert hermite_form(g @ u) == hermite_form(g)
+            assert hermite_basis(g @ u).basis == hermite_basis(g).basis
 
 
 def test_hermite_shape_invariants():
@@ -330,11 +320,8 @@ def test_kernel_annihilates_and_saturates():
             # saturation: every low-degree kernel vector is an exact
             # K[z]-combination of the basis
             bound = min(a.nrows, a.ncols) * max(matrix_degree(a), 1) + 2
-            sub = kb.submodule
             for v in kernel_vectors_up_to(a, bound):
-                assert sub.contains(v) is not None
-            # kernel_via_unimodular is an alias; the oracle above is the check
-            assert submodule_equal(sub, kernel_via_unimodular(a))
+                assert kb.contains(v) is not None
 
 
 def test_hermite_reductions_per_kernel_pair_constant(monkeypatch):
@@ -512,7 +499,7 @@ def test_kernel_pair_poly_crt_worked_example():
     assert result.local_results[1].ker_bar.rank == 0
     # membership: u admissible iff u = 0 mod 3 (2u must vanish mod 3,
     # Im(3z) covers anything even); checked against a direct search
-    glued = result.glued
+    glued = result.ker_bar
     for coeffs in itertools.product(range(6), repeat=3):
         u = ring.normalize(coeffs)
         in_glued = glued.contains((u,)) is not None
@@ -547,9 +534,9 @@ def test_kernel_pair_poly_crt_degenerate():
     ring = PolyRing(6)
     res = kernel_pair_poly_crt(Matrix.zeros(ring, 2, 2),
                                Matrix.identity(ring, 2))
-    assert all(k.rank == 0 for k in res.local_kernels)
-    assert res.glued.contains(((1,), ())) is None
-    assert res.glued.contains(((), ())) is not None
+    assert all(r.ker_bar.rank == 0 for r in res.local_results)
+    assert res.ker_bar.contains(((1,), ())) is None
+    assert res.ker_bar.contains(((), ())) is not None
 
 
 def test_poly_base_change():
@@ -557,22 +544,22 @@ def test_poly_base_change():
     a = pm(ring, [[(0, 3), (2,)]])
     b = pm(ring, [[(1, 2), (3,)]])
     for i in range(2):
-        assert poly_base_change_check(a, b, i) == []
+        assert base_change_check(a, b, i) == []
     rng = random.Random(367)
     for _ in range(10):
         a = random_matrix(ring, rng.randint(1, 2), rng.randint(1, 2), rng,
                           max_degree=1)
         b = random_matrix(ring, a.nrows, rng.randint(1, 2), rng, max_degree=1)
         for i in range(2):
-            assert poly_base_change_check(a, b, i) == []
+            assert base_change_check(a, b, i) == []
 
 
 def test_reduce_poly_matrix():
     ring = PolyRing(6)
     a = pm(ring, [[(3, 4)]])
-    r0 = reduce_poly_matrix(a, 0)  # mod 2
+    r0 = reduce_matrix(a, 0)  # mod 2
     assert r0.ring == PolyRing(2) and r0.entries == (((1,),),)
-    r1 = reduce_poly_matrix(a, 1)  # mod 3
+    r1 = reduce_matrix(a, 1)  # mod 3
     assert r1.ring == PolyRing(3) and r1.entries == (((0, 1),),)
 
 
@@ -583,4 +570,4 @@ def test_random_unimodular_has_unit_determinant_effect():
     for _ in range(20):
         u = random_unimodular(F3Z, rng.randint(1, 3), rng)
         assert poly_kernel(u).rank == 0
-        assert hermite_form(u) == Matrix.identity(F3Z, u.nrows)
+        assert hermite_basis(u).basis == Matrix.identity(F3Z, u.nrows)
