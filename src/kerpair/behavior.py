@@ -7,7 +7,9 @@ periodic of order T); codeword_consistency checks the dynamics against
 ker(zI - A | B) over GF(p)[z], whose index is the reachable subspace.
 """
 
+import functools
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .crt import solve
 from .errors import (
@@ -59,17 +61,43 @@ class Trajectory:
         return len(self.inputs)
 
     def check(self, sys: SystemPair) -> list:
-        """Re-verify the recursion at every step; returns violations.
+        """Re-verify the trajectory; returns violations.
 
-        One product [A | B] [x(0) ... x(T-1); u(0) ... u(T-1)], compared
-        column by column with x(1) ... x(T): row-packed products where
-        ``simulate`` steps with column-packed matvecs.
+        Every entry must be canonical, every state an n-vector and every
+        input an m-vector, with one state more than inputs.  Then one
+        product [A | B] [x(0) ... x(T-1); u(0) ... u(T-1)], compared column
+        by column with x(1) ... x(T): a row-packed product where
+        ``simulate`` steps with column-packed sums.
         """
-        steps = Matrix(sys.ring, self.horizon, sys.n + sys.m,
-                       [x + u for x, u in zip(self.states, self.inputs)])
-        expect = (hstack(sys.a, sys.b) @ steps.transpose()).columns()
+        out = (_noncanonical(sys.ring, "state x", self.states, sys.n)
+               + _noncanonical(sys.ring, "input u", self.inputs, sys.m))
+        horizon = self.horizon
+        if len(self.states) != horizon + 1:
+            out.append(f"{len(self.states)} states for {horizon} inputs")
+        if out or not horizon:
+            return out
+        steps = Matrix._canonical(sys.ring, sys.n + sys.m, horizon,
+                                  [*zip(*self.states[:-1]), *zip(*self.inputs)])
+        expect = (hstack(sys.a, sys.b) @ steps).columns()
         return [f"recursion fails at step {t}"
                 for t, (x, y) in enumerate(zip(expect, self.states[1:])) if x != y]
+
+
+def _noncanonical(ring, name, vectors, size: int) -> list:
+    """Violations for the vectors that do not have ``size`` entries and
+    for the entries outside ``ring``'s canonical set, named ``name(t)``."""
+    q = _modulus(ring)
+    if q is not None and set(map(len, vectors)) <= {size}:
+        flat = list(chain.from_iterable(vectors))
+        if set(map(type, flat)) <= {int} and (not flat or min(flat) >= 0 and max(flat) < q):
+            return []
+    out = []
+    for t, v in enumerate(vectors):
+        if len(v) != size:
+            out.append(f"{name}({t}) has {len(v)} entries, not {size}")
+        out += [f"{name}({t}) entry {i} is {e!r}, not canonical in {ring!r}"
+                for i, e in enumerate(v) if not ring.contains(e)]
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,24 +107,37 @@ class AdmissibleInputQuery:
     x0: tuple | None = None        # fixed mode only
 
 
+#: inputs per step of the periodic boundary's blocked Horner scheme; a
+#: power of 2, so that its A^k is one of the squarings A^T is built from.
+#: Of 2, 4, 8, 16 and 32, 8 gave the fastest periodic ``admissible`` on the
+#: trajectory benchmark's shapes
+HORNER_BLOCK = 8
+
+
+def _reduce(ring, flat) -> tuple:
+    """The entries of ``flat`` over ``ring``."""
+    q = _modulus(ring)
+    if q is not None:  # ring.normalize, inline: int(e) % q
+        return tuple(map(q.__rmod__, map(int, flat)))
+    return tuple(map(ring.normalize, flat))
+
+
 def _normalize(ring, v, size: int, what: str) -> tuple:
     """``v`` over ``ring``, checked to have ``size`` entries."""
     if len(v) != size:
         raise DimensionMismatchError(f"{what} length {len(v)} != {size}")
-    q = _modulus(ring)
-    if q is not None:  # ring.normalize, inline: int(e) % q
-        return tuple(map(q.__rmod__, map(int, v)))
-    return tuple(map(ring.normalize, v))
+    return _reduce(ring, v)
 
 
-def _run(ab: Matrix, x, inputs) -> Trajectory:
-    """The forward recursion from x under ``inputs``, both already
-    normalized: one matvec of ab = [A | B] per step."""
-    states = [x]
-    for u in inputs:
-        x = ab.matvec(x + u)
-        states.append(x)
-    return Trajectory(states=tuple(states), inputs=inputs)
+def _chunks(flat, size: int, count: int) -> tuple:
+    """``count`` consecutive ``size``-tuples of ``flat``."""
+    return tuple(zip(*[iter(flat)] * size)) if size else ((),) * count
+
+
+def _run(step, x, inputs) -> Trajectory:
+    """The forward recursion x <- step(x, u) from x under ``inputs``, both
+    already normalized."""
+    return Trajectory(states=tuple(accumulate(inputs, step, initial=x)), inputs=inputs)
 
 
 def simulate(sys: SystemPair, x0, inputs) -> Trajectory:
@@ -105,18 +146,41 @@ def simulate(sys: SystemPair, x0, inputs) -> Trajectory:
     return admissible(sys, AdmissibleInputQuery(tuple(inputs), "fixed", x0))
 
 
-def _matrix_power(a: Matrix, k: int) -> Matrix:
-    """A^k by left-to-right square-and-multiply (Knuth, TAOCP vol. 2,
-    4.6.3): one squaring per bit of k after the leading one, and one
-    product by A per set bit among them."""
+def _matrix_power(a: Matrix, k: int, squares=None) -> Matrix:
+    """A^k by right-to-left square-and-multiply (Knuth, TAOCP vol. 2,
+    4.6.3): one squaring per bit of k after the lowest, and one product
+    per set bit after the first.  The squarings A, A^2, A^4, ... are
+    appended to the list ``squares`` when one is given."""
     if k == 0:
         return Matrix.identity(a.ring, a.nrows)
-    out = a
-    for bit in bin(k)[3:]:
-        out = out @ out
-        if bit == "1":
-            out = out @ a
-    return out
+    out, power = None, a
+    while True:
+        if squares is not None:
+            squares.append(power)
+        if k & 1:
+            out = power if out is None else out @ power
+        k >>= 1
+        if not k:
+            return out
+        power = power @ power
+
+
+def _forced(sys: SystemPair, flat: tuple, a_k: Matrix, k: int) -> tuple:
+    """x(T) from x(0) = 0 under the inputs ``flat``, u(0) ... u(T-1) end
+    to end, by blocked Horner: x <- A^k x + [A^(k-1) B ... A B  B]
+    (u(s); ...; u(s+k-1)), one step per block of k inputs, the first block
+    padded in front with zero inputs, which keep x = 0.  The columns of
+    A^j B come from matvecs."""
+    ring, n = sys.ring, sys.n
+    blocks = [sys.b.columns()]
+    for _ in range(k - 1):
+        blocks.append([sys.a.matvec(c) for c in blocks[-1]])
+    cols = [c for block in reversed(blocks) for c in block]
+    width = len(cols)
+    horner = Matrix._canonical(ring, n, width, zip(*cols) if n else ())
+    padded = (ring.zero,) * (-len(flat) % width) + flat
+    return functools.reduce(a_k._affine(horner), _chunks(padded, width, len(padded) // width),
+                            (ring.zero,) * n)
 
 
 def _solve_ring(m: Matrix, rhs):
@@ -138,29 +202,41 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
     fixed: the unique trajectory from query.x0.
     periodic: solve (A^T - I) x(0) = -x_zero(T) where x_zero is the
       zero-initial response; then x(T) = x(0) exactly.  A^T comes from
-      square-and-multiply, about log2 T + popcount(T) products.
+      right-to-left square-and-multiply, about log2 T + popcount(T)
+      products, and x_zero(T) from ceil(T / k) blocked Horner steps
+      (``_forced``), k = min(HORNER_BLOCK, T), whose A^k is one of A^T's
+      squarings (or A^T itself).  One run from the solved x(0) then
+      gives the trajectory.
     """
-    ring = sys.ring
-    inputs = tuple(_normalize(ring, u, sys.m, "input") for u in query.inputs)
-    ab = hstack(sys.a, sys.b)
-    zero_state = (ring.zero,) * sys.n
+    ring, n, m = sys.ring, sys.n, sys.m
+    for u in query.inputs:
+        if len(u) != m:
+            raise DimensionMismatchError(f"input length {len(u)} != {m}")
+    t = len(query.inputs)
+    flat = _reduce(ring, chain.from_iterable(query.inputs))
+    inputs = _chunks(flat, m, t)
+    step = sys.a._affine(sys.b)
+    zero_state = (ring.zero,) * n
     if query.x0 is not None and query.boundary in ("free", "periodic"):
         raise ValueError(f"x0 is only for the fixed boundary, not {query.boundary!r}")
     if query.boundary == "free":
-        return _run(ab, zero_state, inputs)
+        return _run(step, zero_state, inputs)
     if query.boundary == "fixed":
         if query.x0 is None:
             raise DimensionMismatchError("fixed boundary requires x0")
-        return _run(ab, _normalize(ring, query.x0, sys.n, "state"), inputs)
+        return _run(step, _normalize(ring, query.x0, n, "state"), inputs)
     if query.boundary != "periodic":
         raise ValueError(f"unknown boundary mode {query.boundary!r}")
-    t = len(inputs)
-    forced = _run(ab, zero_state, inputs).states[-1]
-    m = _matrix_power(sys.a, t) - Matrix.identity(ring, sys.n)
-    x0 = _solve_ring(m, tuple(ring.neg(e) for e in forced))
+    squares = []
+    a_t = _matrix_power(sys.a, t, squares)
+    forced = zero_state
+    if t and m:
+        k = min(HORNER_BLOCK, t)
+        forced = _forced(sys, flat, a_t if k == t else squares[k.bit_length() - 1], k)
+    x0 = _solve_ring(a_t - Matrix.identity(ring, n), tuple(map(ring.neg, forced)))
     if x0 is None:
         return None
-    traj = _run(ab, _normalize(ring, x0, sys.n, "state"), inputs)
+    traj = _run(step, _normalize(ring, x0, n, "state"), inputs)
     if traj.states[-1] != traj.states[0]:
         raise ConsistencyViolatedError("the periodic solve did not close the loop")
     return traj

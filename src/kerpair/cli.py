@@ -176,12 +176,15 @@ def parse_vector_file(ring, path: str, width: int) -> list:
 
 
 class _Formatted(list):
-    """Ring-formatted elements, which hold only digits, brackets and
-    commas: ``_dumps`` writes them without escaping."""
+    """A vector's ring elements, each of which ``str.format`` writes as its
+    ``ring.format`` text: the elements themselves over Z/q, whose
+    ``format`` is ``str``, and their text over polynomial rings.  That text
+    holds only digits, brackets and commas, so ``_dumps`` writes them
+    without escaping."""
 
 
 def _vector_doc(ring, v):
-    return _Formatted(map(ring.format, v))
+    return _Formatted(v if ring.format is str else map(ring.format, v))
 
 
 #: A submodule document's "kind", by ring family and whether it is glued.
@@ -211,17 +214,27 @@ def _print_submodule(label: str, sub: Submodule, out):
         print("  [" + ", ".join(map(sub.ring.format, g)) + "]", file=out)
 
 
+def _row_template(indent, width) -> str:
+    """The ``str.format`` template of a ``_Formatted`` of ``width``
+    elements, as ``_dumps`` writes it at ``indent``."""
+    inner = indent + "  "
+    return f'[{inner}"' + f'",{inner}"'.join(["{}"] * width) + f'"{indent}]' if width else "[]"
+
+
 def _dumps(doc, indent="\n") -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte.  Any indent sends
-    ``json`` to its pure-Python encoder; here strings go through the C
-    quoting function, a list of strings in one join, a ``_Formatted``
-    list in one join with no quoting call, and an exact ``int`` through
-    ``str``.  Values dispatch on their exact type, the plain dicts, lists
-    and scalars of a document."""
+    """``json.dumps(doc, indent=2)``, byte for byte, with the elements of
+    a ``_Formatted`` written as strings of their ring text.  Any indent
+    sends ``json`` to its pure-Python encoder; here strings go through the
+    C quoting function, a list of strings in one join, a ``_Formatted``
+    through one ``str.format`` of a row template with no quoting call, a
+    list of ``_Formatted`` of one width through one ``str.format`` of that
+    row template repeated, and an exact ``int`` through ``str``.  Values
+    dispatch on their exact type, the plain dicts, lists and scalars of a
+    document."""
     inner = indent + "  "
     kind = type(doc)
     if kind is _Formatted:
-        return f'[{inner}"' + f'",{inner}"'.join(doc) + f'"{indent}]' if doc else "[]"
+        return _row_template(indent, len(doc)).format(*doc)
     if kind is dict:
         if not doc:
             return "{}"
@@ -231,8 +244,11 @@ def _dumps(doc, indent="\n") -> str:
     if kind is list or kind is tuple:
         if not doc:
             return "[]"
-        items = map(_quote, doc) if set(map(type, doc)) == {str} else \
-            (_dumps(e, inner) for e in doc)
+        kinds = set(map(type, doc))
+        if kinds == {_Formatted} and len(widths := set(map(len, doc))) == 1:
+            rows = ("," + inner).join([_row_template(inner, widths.pop())] * len(doc))
+            return ("[" + inner + rows + indent + "]").format(*itertools.chain.from_iterable(doc))
+        items = map(_quote, doc) if kinds == {str} else (_dumps(e, inner) for e in doc)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is str:
         return _quote(doc)

@@ -10,10 +10,11 @@ in [0, q) is one Python int with a byte-aligned big-endian slot per
 entry, the first entry most significant.  ``A @ X`` packs each row of X
 once, and row i of the product is one sum of big-int multiples of them;
 ``A.matvec(v)`` sums multiples of A's packed columns, which a matrix
-packs on its first Z/q matvec and keeps.  Nothing is reduced until the
-sum is unpacked, once per output slot (delayed modular reduction, as in
-FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008).  Over polynomial rings
-products go through the ring's methods.
+packs on its first Z/q matvec and keeps; ``A._affine(B)``, a trajectory
+step, packs the columns of [A | B] once per run.  Nothing is reduced
+until the sum is unpacked, once per output slot (delayed modular
+reduction, as in FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008).  Over
+polynomial rings products go through the ring's methods.
 """
 
 import functools
@@ -233,6 +234,32 @@ class Matrix:
             self._packed_columns = q, size, [_pack(col, q, size) for col in self.columns()]
         q, size, columns = self._packed_columns
         return _unpack(sum(map(mul, map(q.__rmod__, v), columns)), q, self.nrows, size)
+
+    def _affine(self, b: "Matrix"):
+        """The map (x, u) -> A x + B u, A this matrix, for vectors of
+        canonical entries and of lengths A.ncols and B.ncols, which it
+        does not check: a trajectory step.  Over Z/q the columns of
+        [A | B] are packed once, in slots rounded up to an ``array``
+        width where one exists, and a step is one sum of big-int
+        multiples of them and one unpack, so ``_restride`` copies nothing
+        on GF(101)'s 3-byte slots; over polynomial rings, ring methods on
+        the rows of [A | B]."""
+        ring, n = self.ring, self.nrows
+        q = _modulus(ring)
+        if q is None:
+            add, ring_mul, zero = ring.add, ring.mul, ring.zero
+            rows = hstack(self, b).entries
+
+            def step(x, u):
+                v = x + u
+                return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
+                             for row in rows)
+            return step
+        size = _slot_bytes(q, self.ncols + b.ncols)
+        size = next((s for s in sorted(_TYPECODES) if s >= size), size)
+        xs = [_pack(col, q, size) for col in self.columns()]
+        us = [_pack(col, q, size) for col in b.columns()]
+        return lambda x, u: _unpack(sum(map(mul, u, us), sum(map(mul, x, xs))), q, n, size)
 
     def is_zero(self) -> bool:
         z = self.ring.zero

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import time
@@ -299,6 +300,210 @@ def test_free_horizon_1000_simulate_and_check_are_fast():
         times.append(time.perf_counter() - start)
         assert violations == [] and traj.horizon == 1000
     assert min(times) < 0.045
+
+
+def test_steps_per_periodic_horizon(monkeypatch):
+    """x_zero(T) takes ceil(T / k) blocked Horner steps and (k - 1) m
+    matvecs for the columns of A^j B, and the trajectory one run of T
+    steps: at most T + ceil(T / k) + (k - 1) m in all, where a second full
+    run would take 2T."""
+    horizon, k = 1000, behavior.HORNER_BLOCK
+    sys, query = _periodic_query(8, horizon, 61)
+    steps = []
+    real_affine, real_matvec = Matrix._affine, Matrix.matvec
+
+    def affine(self, b):
+        step = real_affine(self, b)
+        return lambda x, u: steps.append("step") or step(x, u)
+
+    monkeypatch.setattr(Matrix, "_affine", affine)
+    monkeypatch.setattr(Matrix, "matvec",
+                        lambda self, v: steps.append("matvec") or real_matvec(self, v))
+    traj = admissible(sys, query)
+    assert traj is not None and traj.states[0] == traj.states[-1]
+    assert steps.count("matvec") == (k - 1) * sys.m
+    assert len(steps) <= horizon + math.ceil(horizon / k) + (k - 1) * sys.m
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), ModRing(8), PolyRing(5)], ids=repr)
+def test_matrix_power_shares_its_squarings(ring):
+    a = random_matrix(ring, 3, 3, random.Random(59), max_degree=1)
+    for k in (1, 2, 7, 8, 40):
+        squares = []
+        _matrix_power(a, k, squares)
+        assert squares == [_matrix_power(a, 2 ** i) for i in range(k.bit_length())]
+
+
+def _off_canonical(ring, e, by):
+    """The element ``e`` with its constant coefficient moved by ``by`` q:
+    the same residue, held outside the canonical set."""
+    if isinstance(ring, PolyRing):
+        return (e[0] + by * ring.q,) + e[1:] if e else (by * ring.q,)
+    return e + by * ring.q
+
+
+def _retouched(vectors, t, i, entry):
+    v = vectors[t]
+    return vectors[:t] + (v[:i] + (entry,) + v[i + 1:],) + vectors[t + 1:]
+
+
+@pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30), PolyRing(5)], ids=repr)
+@pytest.mark.parametrize("where, t, i", [("state x", 0, 0), ("state x", 2, 1), ("input u", 1, 0)],
+                         ids=["x(0)", "x(t)", "u(t)"])
+@pytest.mark.parametrize("by", [-1, 1], ids=["negative", "at-least-q"])
+def test_check_reports_noncanonical_entries(ring, where, t, i, by):
+    """An entry that reads as the right residue but lies outside the ring's
+    canonical set is reported by name and step, not re-normalized away;
+    x(0) and the inputs are checked too, not only x(1..T)."""
+    rng = random.Random(11)
+    sys = SystemPair(random_matrix(ring, 3, 3, rng, max_degree=1),
+                     random_matrix(ring, 3, 2, rng, max_degree=1))
+    traj = simulate(sys, (ring.zero,) * 3, random_matrix(ring, 4, 2, rng, max_degree=1).entries)
+    assert traj.check(sys) == []
+    field = "states" if where == "state x" else "inputs"
+    vectors = getattr(traj, field)
+    bad = _off_canonical(ring, vectors[t][i], by)
+    tampered = dataclasses.replace(traj, **{field: _retouched(vectors, t, i, bad)})
+    assert tampered.check(sys) == [f"{where}({t}) entry {i} is {bad!r}, not canonical in {ring!r}"]
+
+
+def test_check_reports_malformed_shapes():
+    sys = delay_system()
+    traj = simulate(sys, (0, 0), [(1,), (0,), (1,)])
+    assert dataclasses.replace(traj, states=traj.states[:-1]).check(sys) == [
+        "3 states for 3 inputs"]
+    assert dataclasses.replace(traj, inputs=traj.inputs[:1] + ((1, 0),) + traj.inputs[2:]) \
+        .check(sys) == ["input u(1) has 2 entries, not 1"]
+    assert dataclasses.replace(traj, states=((0,),) + traj.states[1:]).check(sys) == [
+        "state x(0) has 1 entries, not 2"]
+
+
+# -- differential: admissible against a naive per-step reference ---------------
+
+
+def naive_step(sys, x, u):
+    """A x + B u by ring methods, one entry at a time."""
+    ring, v = sys.ring, tuple(x) + tuple(u)
+    out = []
+    for ra, rb in zip(sys.a.entries, sys.b.entries):
+        acc = ring.zero
+        for c, e in zip(ra + rb, v):
+            acc = ring.add(acc, ring.mul(c, e))
+        out.append(acc)
+    return tuple(out)
+
+
+def naive_states(sys, x, inputs):
+    states = [tuple(x)]
+    for u in inputs:
+        states.append(naive_step(sys, states[-1], u))
+    return tuple(states)
+
+
+def naive_closing_map(sys, inputs):
+    """(P, f) with x(T) = P x(0) + f: P's columns are the zero-input runs
+    from the unit vectors, f the run from 0."""
+    ring, n = sys.ring, sys.n
+    zero_inputs = [(ring.zero,) * sys.m] * len(inputs)
+    units = [tuple(ring.one if i == j else ring.zero for i in range(n)) for j in range(n)]
+    cols = [naive_states(sys, e, zero_inputs)[-1] for e in units]
+    return [tuple(c[i] for c in cols) for i in range(n)], naive_states(sys, (ring.zero,) * n, inputs)[-1]
+
+
+def naive_affine(ring, p, f, x):
+    return tuple(functools.reduce(ring.add, map(ring.mul, row, x), fi) for row, fi in zip(p, f))
+
+
+def naive_solvable_over_field(ring, rows, rhs):
+    """Whether rows x = rhs has a solution, by Gauss-Jordan elimination of
+    [rows | rhs] with ring methods: no pivot may land in the last column."""
+    work = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = 0
+    for col in range(len(work[0]) if work else 0):
+        hit = next((i for i in range(pivots, len(work)) if work[i][col] != ring.zero), None)
+        if hit is None:
+            continue
+        if col == len(work[0]) - 1:
+            return False
+        work[pivots], work[hit] = work[hit], work[pivots]
+        scale = ring.inv(work[pivots][col])
+        work[pivots] = [ring.mul(scale, e) for e in work[pivots]]
+        for i in range(len(work)):
+            if i != pivots and work[i][col] != ring.zero:
+                c = work[i][col]
+                work[i] = [ring.sub(e, ring.mul(c, g)) for e, g in zip(work[i], work[pivots])]
+        pivots += 1
+    return True
+
+
+def naive_periodic_admissible(sys, family, inputs):
+    """Whether some x(0) has x(T) = x(0), decided without ``admissible``:
+    over small finite rings by trying every x(0), over fields by
+    elimination of (P - I) x = -f, and over (Z/m)[z] from the family:
+    a nilpotent A always closes, and A = c I (the identity at c = 1)
+    closes iff every coefficient of f is a multiple of gcd(c^T - 1, m)."""
+    ring, n = sys.ring, sys.n
+    p, f = naive_closing_map(sys, inputs)
+    if ring.size is not None and ring.size ** n <= 1000:
+        return any(naive_affine(ring, p, f, x) == x
+                   for x in itertools.product(ring.elements(), repeat=n))
+    if ring.is_field:
+        shifted = [tuple(ring.sub(e, ring.one if i == j else ring.zero) for j, e in enumerate(row))
+                   for i, row in enumerate(p)]
+        return naive_solvable_over_field(ring, shifted, tuple(map(ring.neg, f)))
+    if family == "nilpotent":
+        return True
+    c = sys.a.entries[0][0][0] if sys.a.entries[0][0] else 0
+    d = math.gcd(pow(c, len(inputs), ring.q) - 1, ring.q)
+    return all(coeff % d == 0 for fi in f for coeff in fi)
+
+
+def _draw_system(ring, family, n, m, rng):
+    if family == "random":
+        a = random_matrix(ring, n, n, rng, max_degree=1)
+    elif family in ("identity", "scalar"):
+        c = 1 if family == "identity" else rng.randrange(ring.q)
+        a = Matrix.identity(ring, n).scale(ring.normalize((c,) if isinstance(ring, PolyRing) else c))
+    else:  # strictly lower triangular: A^n = 0
+        a = Matrix(ring, n, n, [[e if j < i else ring.zero for j, e in enumerate(row)]
+                                for i, row in enumerate(random_matrix(ring, n, n, rng, 1).entries)])
+    return SystemPair(a, random_matrix(ring, n, m, rng, max_degree=1))
+
+
+K = behavior.HORNER_BLOCK
+DIFFERENTIAL_RINGS = [PrimeField(2), PrimeField(101), PrimeField(2**61 - 1), ModRing(30),
+                      ModRing(8), PolyRing(30)]
+
+
+@pytest.mark.parametrize("ring", DIFFERENTIAL_RINGS, ids=repr)
+@pytest.mark.parametrize("horizon", sorted({0, 1, K - 1, K, K + 1, 3 * K + 2}))
+def test_admissible_matches_naive_reference(ring, horizon):
+    """Every boundary, m = 0 to 2 and four families of A: free and fixed
+    trajectories equal the naive recursion; a periodic answer is None
+    exactly when the naive decision says no x(0) closes the loop, and
+    otherwise the naive recursion from its x(0), which closes it."""
+    rng = random.Random(f"{ring!r}/{horizon}")
+    families = ["identity", "scalar", "nilpotent"] + ([] if isinstance(ring, PolyRing) else ["random"])
+    outcomes = set()
+    for family, n, m in itertools.product(families, (1, 2), (0, 1, 2)):
+        if isinstance(ring, ModRing) and ring.q == 8 and family == "random" and n == 2:
+            n = 3  # the enumeration path of a non-square-free modulus, at 8^3 states
+        sys = _draw_system(ring, family, n, m, rng)
+        inputs = random_matrix(ring, horizon, m, rng, max_degree=1).entries
+        x0 = random_matrix(ring, 1, n, rng, max_degree=1).entries[0]
+        zero = (ring.zero,) * n
+        assert admissible(sys, AdmissibleInputQuery(inputs, "free")) == \
+            Trajectory(naive_states(sys, zero, inputs), inputs)
+        assert admissible(sys, AdmissibleInputQuery(inputs, "fixed", x0)) == \
+            Trajectory(naive_states(sys, x0, inputs), inputs)
+        got = admissible(sys, AdmissibleInputQuery(inputs, "periodic"))
+        expected = naive_periodic_admissible(sys, family, inputs)
+        assert (got is not None) == expected, (family, n, m)
+        if got is not None:
+            assert got == Trajectory(naive_states(sys, got.states[0], inputs), inputs)
+            assert got.states[-1] == got.states[0]
+        outcomes.add(expected)
+    assert outcomes == {True, False} or horizon == 0
 
 
 def test_pencil_form():

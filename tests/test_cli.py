@@ -860,17 +860,36 @@ JSON_SCALARS = st.one_of(JSON_TEXT, st.integers(), st.integers(-2**70, 2**70),
 RING_TEXT = st.one_of(st.integers(0, 2**62).map(str), st.sampled_from(("[0]", "[1,2]")),
                       st.lists(st.integers(0, 2**62), min_size=1, max_size=3).map(
                           lambda cs: "[" + ",".join(map(str, cs)) + "]"))
-FORMATTED = st.lists(RING_TEXT, max_size=4).map(_Formatted)
+#: Z/q vectors enter a _Formatted as the ints themselves (``_vector_doc``)
+RING_INTS = st.integers(0, 2**62)
+FORMATTED = st.one_of(st.lists(RING_TEXT, max_size=4),
+                      st.lists(RING_INTS, max_size=4)).map(_Formatted)
+#: lists of _Formatted of one width, which _dumps writes with one template
+FORMATTED_ROWS = st.integers(0, 3).flatmap(lambda w: st.lists(st.one_of(
+    st.lists(RING_TEXT, min_size=w, max_size=w),
+    st.lists(RING_INTS, min_size=w, max_size=w)).map(_Formatted), min_size=1, max_size=4))
 #: json writes int, bool and None keys as strings
 JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.booleans(), st.none())
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.recursive(st.one_of(JSON_SCALARS, FORMATTED), lambda inner: st.one_of(
+@given(st.recursive(st.one_of(JSON_SCALARS, FORMATTED, FORMATTED_ROWS), lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.lists(JSON_TEXT, max_size=4),
     st.dictionaries(JSON_KEYS, inner, max_size=4)), max_leaves=20))
 def test_json_writer_matches_json_dumps(doc):
-    assert _dumps(doc) == json.dumps(doc, indent=2)
+    assert _dumps(doc) == json.dumps(_as_text(doc), indent=2)
+
+
+def _as_text(doc):
+    """``doc`` with the elements of each _Formatted as the strings of
+    their ring text, which is how ``_dumps`` writes them."""
+    if type(doc) is _Formatted:
+        return list(map(str, doc))
+    if type(doc) is dict:
+        return {k: _as_text(v) for k, v in doc.items()}
+    if type(doc) in (list, tuple):
+        return [_as_text(e) for e in doc]
+    return doc
 
 
 # -- fuzz guard: mutated golden inputs ----------------------------------------
