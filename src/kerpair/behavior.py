@@ -20,7 +20,7 @@ from .errors import (
     RingMismatchError,
 )
 from .kernel import ORACLE_LIMIT, _solve_by_enumeration
-from .matrix import Matrix, _modulus, hstack
+from .matrix import Matrix, hstack
 from .polykernel import kernel_pair_poly
 from .rings import ModRing, PolyRing, PrimeField
 
@@ -86,11 +86,9 @@ class Trajectory:
 def _noncanonical(ring, name, vectors, size: int) -> list:
     """Violations for the vectors that do not have ``size`` entries and
     for the entries outside ``ring``'s canonical set, named ``name(t)``."""
-    q = _modulus(ring)
-    if q is not None and set(map(len, vectors)) <= {size}:
-        flat = list(chain.from_iterable(vectors))
-        if set(map(type, flat)) <= {int} and (not flat or min(flat) >= 0 and max(flat) < q):
-            return []
+    flat = list(chain.from_iterable(vectors))
+    if set(map(len, vectors)) <= {size} and ring.contains_all(flat):
+        return []
     out = []
     for t, v in enumerate(vectors):
         if len(v) != size:
@@ -114,19 +112,11 @@ class AdmissibleInputQuery:
 HORNER_BLOCK = 8
 
 
-def _reduce(ring, flat) -> tuple:
-    """The entries of ``flat`` over ``ring``."""
-    q = _modulus(ring)
-    if q is not None:  # ring.normalize, inline: int(e) % q
-        return tuple(map(q.__rmod__, map(int, flat)))
-    return tuple(map(ring.normalize, flat))
-
-
 def _normalize(ring, v, size: int, what: str) -> tuple:
     """``v`` over ``ring``, checked to have ``size`` entries."""
     if len(v) != size:
         raise DimensionMismatchError(f"{what} length {len(v)} != {size}")
-    return _reduce(ring, v)
+    return ring.normalize_all(v)
 
 
 def _chunks(flat, size: int, count: int) -> tuple:
@@ -192,7 +182,7 @@ def _solve_ring(m: Matrix, rhs):
     if ring.m ** m.ncols > ORACLE_LIMIT:
         raise OracleTooLargeError(
             f"{ring.m ** m.ncols} state candidates exceed the {ORACLE_LIMIT} guard")
-    return _solve_by_enumeration(m, tuple(map(ring.normalize, rhs)))
+    return _solve_by_enumeration(m, ring.normalize_all(rhs))
 
 
 def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | None:
@@ -213,7 +203,7 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
         if len(u) != m:
             raise DimensionMismatchError(f"input length {len(u)} != {m}")
     t = len(query.inputs)
-    flat = _reduce(ring, chain.from_iterable(query.inputs))
+    flat = ring.normalize_all(chain.from_iterable(query.inputs))
     inputs = _chunks(flat, m, t)
     step = sys.a._affine(sys.b)
     zero_state = (ring.zero,) * n

@@ -169,7 +169,15 @@ def parse_vector(ring, text: str, expect: int) -> tuple:
 def parse_vector_file(ring, path: str, width: int) -> list:
     """One vector per line, whitespace-separated ring elements, read as
     one block (``_rows``)."""
-    return _rows(ring, list(_records(Path(path).read_text())), width, "vector line")
+    return _rows(ring, list(_records(_read(path))), width, "vector line")
+
+
+def _read(path) -> str:
+    """The text of the file ``path``, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 # -- result documents --------------------------------------------------------
@@ -267,7 +275,7 @@ def _emit(doc: dict, args, out) -> int:
 
 
 def cmd_kernel(args, out) -> int:
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
+    ring, matrices = parse_matrix_file(_read(args.file))
     a = _named(matrices, args.name)
     sub = matrix_kernel(a)
     doc = {"command": "kernel", "ring": repr(ring), "matrix": args.name,
@@ -287,7 +295,7 @@ def _named(matrices, name) -> Matrix:
 
 def _pair(args):
     """(ring, A, B): the matrices ``name_a`` and ``name_b`` of ``file``."""
-    ring, matrices = parse_matrix_file(Path(args.file).read_text())
+    ring, matrices = parse_matrix_file(_read(args.file))
     return ring, _named(matrices, args.name_a), _named(matrices, args.name_b)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import MethodUnavailableError, RingMismatchError
 from .kernel import (
+    _FAMILY_METHOD,
     KernelPairResult,
     _check_pair,
     kernel_pair_field,
@@ -78,10 +79,6 @@ def solve(a: Matrix, c) -> tuple | None:
     split = split_ring(a.ring)
     parts = [x for _, x in _per_prime("solve", split, a, c)]
     return None if None in parts else split.glue(parts)
-
-
-#: The method ``auto`` runs over each ring family, and the name its results carry.
-_FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
 
 
 def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import Submodule, _echelon, _span, image, nullspace, rref
 from .matrix import Matrix, hstack, vstack
-from .rings import PolyRing, PrimeField, split_ring
+from .rings import ModRing, PolyRing, PrimeField, split_ring
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,10 @@ class KernelPairResult:
     ker_pair: Submodule    # of R^(q1+q2); None from the oracle
     ker_bar: Submodule     # of R^q2, this is ker(f1|f2)
     method: str
+
+
+#: The method ``auto`` runs over each ring family, and the name its results carry.
+_FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
 
 
 @dataclass(frozen=True)
@@ -113,8 +117,6 @@ def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
     basis], and ker(f1,f2) is spanned by iota(ker_f1) and the section: it
     is iota(ker_f1) itself, with ker_f1's pivot rows, when ker_bar = 0.
     The result names its ring family's method, projection or poly."""
-    from .crt import _FAMILY_METHOD
-
     ring, q1, q2 = ker_f1.ring, ker_f1.ambient, ker_bar.ambient
     iota = vstack(Matrix.identity(ring, q1), Matrix.zeros(ring, q2, q1))
     pi2 = hstack(Matrix.zeros(ring, q2, q1), Matrix.identity(ring, q2))

@@ -217,7 +217,7 @@ def solve(a: Matrix, b) -> tuple | None:
     _require_field(a.ring)
     if len(b) != a.nrows:
         raise DimensionMismatchError(f"rhs length {len(b)} != {a.nrows} rows")
-    return _solve_columns(a, [tuple(a.ring.normalize(x) for x in b)])[0]
+    return _solve_columns(a, [a.ring.normalize_all(b)])[0]
 
 
 def image(a: Matrix) -> "Submodule":
@@ -255,7 +255,7 @@ class Submodule:
     @classmethod
     def from_columns(cls, ring, ambient, columns) -> "Submodule":
         """Canonicalize a spanning set of column vectors."""
-        columns = [tuple(ring.normalize(e) for e in c) for c in columns]
+        columns = list(map(ring.normalize_all, columns))
         if any(len(c) != ambient for c in columns):
             raise AmbientMismatchError("spanning vector with wrong length")
         if not is_local(ring):
@@ -325,7 +325,7 @@ class Submodule:
 
     def contains(self, v):
         """Coordinates of ``v`` over the generators, or None if not a member."""
-        v = tuple(self.ring.normalize(e) for e in v)
+        v = self.ring.normalize_all(v)
         if len(v) != self.ambient:
             raise AmbientMismatchError(f"vector length {len(v)} != ambient {self.ambient}")
         if not self.components:

@@ -4,17 +4,17 @@ A matrix over a ring R with q columns and p rows represents the R-linear
 map R^q -> R^p whose columns are the images of the standard basis
 vectors.  Entries are canonical ring elements; all operations are pure.
 
-Over GF(p) and Z/m (``ResidueRing``) products run on packed
-rows, the packing that ``linalg._eliminate`` uses too: a vector of ints
+Every product is a linear combination of vectors, and one kernel,
+``_combination``, forms them all: ``A @ X`` combines the rows of X,
+``A.matvec(v)`` the columns of A (the map is built on the first matvec
+and kept), and ``A._affine(B)``, a trajectory step, the columns of
+[A | B].  Over GF(p) and Z/m (``ResidueRing``) the vectors are packed
+once, the packing that ``linalg._eliminate`` uses too: a vector of ints
 in [0, q) is one Python int with a byte-aligned big-endian slot per
-entry, the first entry most significant.  ``A @ X`` packs each row of X
-once, and row i of the product is one sum of big-int multiples of them;
-``A.matvec(v)`` sums multiples of A's packed columns, which a matrix
-packs on its first Z/q matvec and keeps; ``A._affine(B)``, a trajectory
-step, packs the columns of [A | B] once per run.  Nothing is reduced
-until the sum is unpacked, once per output slot (delayed modular
-reduction, as in FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008).  Over
-polynomial rings products go through the ring's methods.
+entry, the first entry most significant.  A combination is then one sum
+of big-int multiples, reduced only when it is unpacked, once per output
+slot (delayed modular reduction, as in FFLAS-FFPACK, Dumas, Giorgi &
+Pernet 2008).  Over polynomial rings it goes through the ring's methods.
 """
 
 import functools
@@ -29,11 +29,6 @@ from .rings import ResidueRing
 _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 #: ``array`` items are native-endian, slots big-endian
 _SWAP = sys.byteorder == "little"
-
-
-def _modulus(ring):
-    """q for Z/q (GF(p) or Z/m), whose products run on packed rows; else None."""
-    return ring.q if isinstance(ring, ResidueRing) else None
 
 
 def _slot_bytes(p, k):
@@ -89,20 +84,33 @@ def _unpack(acc, q, count, size):
     return tuple(map(q.__rmod__, _from_slots(acc.to_bytes(count * size, "big"), size)))
 
 
+def _combination(ring, vectors, length: int, aligned=False):
+    """The map c -> sum_j c[j] vectors[j], for ``length``-entry vectors and
+    c of canonical entries.  Over Z/q: the vectors packed once, in slots
+    for len(vectors) products (rounded up to an ``array`` width if
+    ``aligned``), one big-int sum and one ``_unpack``; else ring methods."""
+    if isinstance(ring, ResidueRing):
+        q = ring.q
+        size = _slot_bytes(q, len(vectors))
+        if aligned:
+            size = next((s for s in sorted(_TYPECODES) if s >= size), size)
+        packed = [_pack(v, q, size) for v in vectors]
+        return lambda c: _unpack(sum(map(mul, c, packed)), q, length, size)
+    add, ring_mul, zero = ring.add, ring.mul, ring.zero
+    entries = list(zip(*vectors)) if vectors else [()] * length
+    return lambda c: tuple(functools.reduce(add, map(ring_mul, e, c), zero) for e in entries)
+
+
 class Matrix:
-    # _packed_columns: (q, slot bytes, packed columns) over Z/q, filled by the
-    # first matvec; a cache, not part of the value (__eq__ and __hash__ ignore it)
+    # _packed_columns: the _combination of the columns, built by the first
+    # matvec; a cache, not part of the value (__eq__ and __hash__ ignore it)
     __slots__ = ("ring", "nrows", "ncols", "entries", "_packed_columns")
 
     def __init__(self, ring, nrows: int, ncols: int, entries):
         """``entries`` is a row-major nested sequence; values are normalized."""
         if nrows < 0 or ncols < 0:
             raise DimensionMismatchError("negative matrix dimensions")
-        q = _modulus(ring)
-        if q is not None:  # ring.normalize, inline: int(e) % q
-            rows = tuple(tuple(map(q.__rmod__, map(int, row))) for row in entries)
-        else:
-            rows = tuple(tuple(ring.normalize(e) for e in row) for row in entries)
+        rows = tuple(map(ring.normalize_all, entries))
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise DimensionMismatchError(
                 f"expected {nrows}x{ncols} entries, got {[len(r) for r in rows]}"
@@ -205,61 +213,25 @@ class Matrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        ring, c = self.ring, other.ncols
-        q = _modulus(ring)
-        if q is not None:
-            size = _slot_bytes(q, self.ncols)
-            packed = [_pack(row, q, size) for row in other.entries]
-            rows = [_unpack(sum(map(mul, row, packed)), q, c, size) for row in self.entries]
-        else:
-            add, ring_mul, zero = ring.add, ring.mul, ring.zero
-            cols = other.columns()
-            rows = [[functools.reduce(add, map(ring_mul, row, col), zero) for col in cols]
-                    for row in self.entries]
-        return Matrix._canonical(ring, self.nrows, c, rows)
+        combine = _combination(self.ring, other.entries, other.ncols)
+        return Matrix._canonical(self.ring, self.nrows, other.ncols,
+                                 map(combine, self.entries))
 
     def matvec(self, v) -> tuple:
-        """Apply the matrix to a length-``ncols`` vector; over Z/q its
-        entries are read mod q."""
+        """Apply the matrix to a length-``ncols`` vector, normalized first."""
         if len(v) != self.ncols:
             raise DimensionMismatchError(f"vector length {len(v)} != {self.ncols} columns")
         if self._packed_columns is None:
-            ring = self.ring
-            q = _modulus(ring)
-            if q is None:
-                add, ring_mul, zero = ring.add, ring.mul, ring.zero
-                return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
-                             for row in self.entries)
-            size = _slot_bytes(q, self.ncols)
-            self._packed_columns = q, size, [_pack(col, q, size) for col in self.columns()]
-        q, size, columns = self._packed_columns
-        return _unpack(sum(map(mul, map(q.__rmod__, v), columns)), q, self.nrows, size)
+            self._packed_columns = _combination(self.ring, self.columns(), self.nrows)
+        return self._packed_columns(self.ring.normalize_all(v))
 
     def _affine(self, b: "Matrix"):
         """The map (x, u) -> A x + B u, A this matrix, for vectors of
         canonical entries and of lengths A.ncols and B.ncols, which it
-        does not check: a trajectory step.  Over Z/q the columns of
-        [A | B] are packed once, in slots rounded up to an ``array``
-        width where one exists, and a step is one sum of big-int
-        multiples of them and one unpack, so ``_restride`` copies nothing
-        on GF(101)'s 3-byte slots; over polynomial rings, ring methods on
-        the rows of [A | B]."""
-        ring, n = self.ring, self.nrows
-        q = _modulus(ring)
-        if q is None:
-            add, ring_mul, zero = ring.add, ring.mul, ring.zero
-            rows = hstack(self, b).entries
-
-            def step(x, u):
-                v = x + u
-                return tuple(functools.reduce(add, map(ring_mul, row, v), zero)
-                             for row in rows)
-            return step
-        size = _slot_bytes(q, self.ncols + b.ncols)
-        size = next((s for s in sorted(_TYPECODES) if s >= size), size)
-        xs = [_pack(col, q, size) for col in self.columns()]
-        us = [_pack(col, q, size) for col in b.columns()]
-        return lambda x, u: _unpack(sum(map(mul, u, us), sum(map(mul, x, xs))), q, n, size)
+        does not check: a trajectory step, the combination of the columns
+        of [A | B], packed once over Z/q in ``array``-width slots."""
+        combine = _combination(self.ring, hstack(self, b).columns(), self.nrows, aligned=True)
+        return lambda x, u: combine(x + u)
 
     def is_zero(self) -> bool:
         z = self.ring.zero

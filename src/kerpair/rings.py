@@ -11,8 +11,8 @@ Three families are supported:
 Elements are plain immutable Python values; a ring object interprets
 them.  Every operation returns the canonical representative, so equal
 elements always compare equal structurally.  Each ring owns its text
-format: ``parse`` and ``format`` one element, ``parse_all`` a sequence
-of tokens.
+format (``parse``, ``format``, ``parse_all``) and its bulk element ops,
+``normalize_all`` and ``contains_all`` over a sequence of values.
 
 GF(p) and Z/m share one Z/q body, ``ResidueRing``: its element
 arithmetic, parsing and formatting run on the modulus ``q`` alone, and
@@ -142,6 +142,12 @@ class _Ring:
     def __hash__(self):
         return hash((self.kind, self.q))
 
+    def normalize_all(self, values) -> tuple:
+        return tuple(map(self.normalize, values))
+
+    def contains_all(self, values) -> bool:
+        return all(map(self.contains, values))
+
     def parse_all(self, tokens) -> tuple:
         return tuple(map(self.parse, tokens))
 
@@ -167,6 +173,18 @@ class ResidueRing(_Ring):
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and 0 <= a < self.q
+
+    def normalize_all(self, values) -> tuple:
+        return tuple(map(self.q.__rmod__, map(int, values)))
+
+    def contains_all(self, values) -> bool:
+        """``all(map(self.contains, values))`` for a sequence ``values``:
+        one pass each of ``type``, ``min`` and ``max`` accepts plain ints in
+        [0, q); anything else (a ``bool``, say) goes to ``contains``."""
+        if set(map(type, values)) <= {int} and (
+                not values or min(values) >= 0 and max(values) < self.q):
+            return True
+        return all(map(self.contains, values))
 
     def add(self, a, b):
         return (a + b) % self.q
@@ -429,7 +447,7 @@ class Split:
     GF(p_i) or GF(p_i)[z], one per prime factor p_i in ascending order.
 
     ``reduce`` carries a vector into the i-th local ring through that
-    ring's ``normalize`` (entrywise for ints, coefficientwise for
+    ring's ``normalize_all`` (entrywise for ints, coefficientwise for
     polynomials); ``lift`` carries a local vector back, multiplied by the
     structural idempotent e_i so that it vanishes in every other factor;
     ``glue`` sums the lifts, the inverse of reducing at every prime, and
@@ -453,11 +471,12 @@ class Split:
         self.idempotents = es if local is PrimeField else tuple((e,) for e in es)
 
     def reduce(self, v, i) -> tuple:
-        return tuple(map(self.locals[i].normalize, v))
+        return self.locals[i].normalize_all(v)
 
     def reduce_matrix(self, a, i):
         local = self.locals[i]
-        return a.map_entries(local.normalize, ring=local)
+        # type(a) is Matrix, which imports this module
+        return type(a)._canonical(local, a.nrows, a.ncols, map(local.normalize_all, a.entries))
 
     def lift(self, v, i) -> tuple:
         ring, e = self.ring, self.idempotents[i]

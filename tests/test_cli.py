@@ -619,6 +619,22 @@ def test_x0_file_without_a_fixed_boundary_is_a_usage_error(tmp_path, capsys, bou
         f"error: --x0-file needs --boundary fixed, got --boundary {boundary}\n")
 
 
+@pytest.mark.parametrize("bad", ["sys", "u", "x0"])
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, bad):
+    """A matrix, --u-file or --x0-file with a byte that is not UTF-8 (here
+    a Latin-1 comment) exits 2 with one error line naming the file."""
+    files = dict(zip(("sys", "u"), map(Path, cli_system(tmp_path))), x0=tmp_path / "x0.txt")
+    files["x0"].write_text("1 1\n")
+    files[bad].write_bytes(b"# caf\xe9\n" + files[bad].read_bytes())
+    code, text = run_cli(["simulate", str(files["sys"]), "A", "B", "--u-file", str(files["u"]),
+                          "--x0-file", str(files["x0"]), "--boundary", "fixed"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {files[bad]} is not UTF-8 text: ")
+    if bad == "sys":
+        assert run_cli(["kernel", str(files["sys"]), "A"]) == (2, "")
+
+
 def test_simulate_periodic_not_admissible(tmp_path):
     p = tmp_path / "sys.txt"
     p.write_text("ring gf 2\nmatrix A 1 1\n1\nmatrix B 1 1\n1\n")

@@ -129,10 +129,11 @@ def test_hashable():
 
 # -- products against the ring-method reference -----------------------------
 
-# Over GF(p) and Z/m ``__matmul__`` and ``matvec`` sum big-int multiples of
-# packed rows or columns and reduce once per output slot; the reference is
-# the ring-method loop they replaced, kept here unchanged: results must be
-# equal exactly.
+# ``__matmul__``, ``matvec`` and the trajectory step ``_affine`` all run
+# on ``matrix._combination``: over GF(p) and Z/m it sums big-int multiples
+# of packed rows or columns and reduces once per output slot.  The
+# reference is the ring-method loop it replaced, kept here unchanged:
+# results must be equal exactly.
 
 def ref_matmul(a, b):
     ring = a.ring
@@ -165,39 +166,47 @@ PRODUCT_RINGS = (PrimeField(2), PrimeField(101), PrimeField(2**31 - 1),
 
 @st.composite
 def products(draw):
-    """(A, B, v) over one ring: A is r x k, B is k x c and v a length-k
-    vector whose entries may lie outside [0, q), negatives included; each
-    of r, k and c may be 0."""
-    ring = draw(st.sampled_from(PRODUCT_RINGS))
-    q = ring.size
-    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
+    """(A, B, C, v, u) over one ring, (Z/30)[z] included: A is r x k, B is
+    k x c, C is r x c, v a length-k vector whose entries (coefficients,
+    over (Z/30)[z]) may lie outside [0, q), negatives included, and u a
+    canonical length-c vector; each of r, k and c may be 0."""
+    ring = draw(st.sampled_from(PRODUCT_RINGS + (PolyRing(30),)))
+    q = ring.q
     entry = st.one_of(st.integers(0, q - 1), st.sampled_from((0, 1, q - 1)))
+    raw = st.one_of(entry, st.integers(-3 * q, -1), st.integers(q, 3 * q))
+    if isinstance(ring, PolyRing):  # trailing zeros and all
+        entry, raw = (st.lists(s, max_size=3).map(tuple) for s in (entry, raw))
+    r, k, c = (draw(st.integers(0, 7)) for _ in range(3))
 
     def block(nrows, ncols):
         return Matrix(ring, nrows, ncols, draw(st.lists(
             st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)))
 
-    raw = st.one_of(entry, st.integers(-3 * q, -1), st.integers(q, 3 * q))
     v = tuple(draw(st.lists(raw, min_size=k, max_size=k)))
-    return block(r, k), block(k, c), v
+    u = ring.normalize_all(draw(st.lists(entry, min_size=c, max_size=c)))
+    return block(r, k), block(k, c), block(r, c), v, u
 
 
 @settings(max_examples=400, deadline=None)
 @given(products())
 def test_products_match_reference(instance):
-    a, b, v = instance
+    a, b, c, v, u = instance
     product = a @ b
     assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
     assert product == ref_matmul(a, b)
     assert a.matvec(v) == ref_matvec(a, v)
+    x = a.ring.normalize_all(v)
+    assert a._affine(c)(x, u) == ref_matvec(hstack(a, c), x + u)
 
 
-@pytest.mark.parametrize("ring", PRODUCT_RINGS + (PolyRing(5),), ids=repr)
+@pytest.mark.parametrize("ring", PRODUCT_RINGS + (PolyRing(5), PolyRing(30)), ids=repr)
 @pytest.mark.parametrize("r, k, c", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
 def test_products_with_an_empty_dimension(ring, r, k, c):
     a, b = Matrix.zeros(ring, r, k), Matrix.zeros(ring, k, c)
     assert a @ b == Matrix.zeros(ring, r, c) == ref_matmul(a, b)
     assert a.matvec((ring.one,) * k) == (ring.zero,) * r
+    step = a._affine(Matrix.zeros(ring, r, c))
+    assert step((ring.one,) * k, (ring.one,) * c) == (ring.zero,) * r
 
 
 # -- packed products at slot-width boundaries --------------------------------

@@ -228,6 +228,33 @@ def test_parse_all_is_int_mod_q(q, tokens):
         assert got == want and all(type(v) is int for v in got)
 
 
+BULK_RINGS = [PrimeField(7), PrimeField(2**61 - 1), ModRing(30), ModRing(12), PolyRing(5),
+              PolyRing(30)]
+
+
+@pytest.mark.parametrize("ring", BULK_RINGS, ids=repr)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_bulk_ops_match_elementwise(ring, data):
+    """``normalize_all`` and ``contains_all`` are ``normalize`` and
+    ``contains`` entry by entry: on canonical rows, which the one-pass
+    check accepts, and on rows with ints below 0 or at or above q,
+    ``bool``s, floats, and polynomials with trailing or negative
+    coefficients."""
+    q = ring.q
+    value = st.one_of(st.integers(0, q - 1), st.integers(-3 * q, -1), st.integers(q, 3 * q),
+                      st.sampled_from((0, q - 1, q, -1)), st.booleans(), st.just(2.0))
+    if isinstance(ring, PolyRing):
+        value = st.lists(value, max_size=4).map(tuple)
+    canonical = data.draw(st.lists(value.map(ring.normalize), max_size=8))
+    mixed = data.draw(st.lists(value, max_size=8))
+    for values in (canonical, mixed, canonical + mixed):
+        assert ring.normalize_all(values) == tuple(map(ring.normalize, values))
+        assert type(ring.normalize_all(values)) is tuple
+        assert ring.contains_all(values) == all(map(ring.contains, values))
+    assert ring.contains_all(canonical)
+
+
 def test_poly_parse_forms():
     ring = PolyRing(2)
     assert ring.parse("[0]") == ()
