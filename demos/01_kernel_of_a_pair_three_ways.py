@@ -19,6 +19,7 @@ from kerpair import (
     kernel_pair_preimage,
     kernel_pair_projection,
     kernel_pair_quotient,
+    quotient_map,
 )
 
 F = PrimeField(5)
@@ -35,7 +36,7 @@ print("B =", B)
 print()
 
 # Route 1: nullspace of the stacked map [A | B], projected to the u block.
-result, witness = kernel_pair_projection(A, B)
+result = kernel_pair_projection(A, B)
 print("projection  ker(A|B) basis:", result.ker_bar.basis.columns())
 
 # Route 2: f2^{-1}(Im f1), solved against a basis of the image.
@@ -43,16 +44,16 @@ print("preimage    ker(A|B) basis:",
       kernel_pair_preimage(A, B).ker_bar.basis.columns())
 
 # Route 3: kernel of C.B where C presents N -> N/Im(A).
-quot, C = kernel_pair_quotient(A, B)
+quot, C = kernel_pair_quotient(A, B), quotient_map(A)
 print("quotient    ker(A|B) basis:", quot.ker_bar.basis.columns())
 print("quotient map C =", C.matrix, " (C.A = 0:", (C.matrix @ A).is_zero(), ")")
 print()
 
 # The short exact sequence 0 -> ker f1 -> ker(f1,f2) -> ker(f1|f2) -> 0
-# splits over a field; the witness carries iota, pi2, and a section.
-violations = check_witness(A, B, result, witness)
+# splits over a field; result.witness carries iota, pi2, and a section.
+violations = check_witness(A, B, result)
 print("splitting witness violations:", violations or "none")
-print("section columns (x_u, u):", witness.section.columns())
+print("section columns (x_u, u):", result.witness.section.columns())
 print()
 
 # Brute force closes the loop: enumerate every u in GF(5)^3 and keep

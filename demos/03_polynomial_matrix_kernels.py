@@ -64,7 +64,7 @@ print()
 # presentation.
 A2 = Matrix(R, 1, 1, [[z]])
 B2 = Matrix(R, 1, 1, [[(1,)]])
-result, witness = kernel_pair_poly(A2, B2)
+result = kernel_pair_poly(A2, B2)
 print("ker(z | 1) basis:", [show(c) for c in result.ker_bar.basis.columns()])
 for u in [((0, 0, 1),), ((1,),)]:
     x = poly_member(A2, B2, u)

@@ -14,7 +14,6 @@ GF(p)[z].
 0
 """
 
-from . import crt
 from .behavior import (
     AdmissibleInputQuery,
     SystemPair,
@@ -31,6 +30,7 @@ from .crt import (
     kernel_pair_crt,
     reduce_matrix,
 )
+from .crt import kernel_pair as kernel_of_pair  # the one entry point, under its public name
 from .errors import (
     AmbientMismatchError,
     CompositeModulusError,
@@ -55,7 +55,6 @@ from .kernel import (
     admissible_set,
     check_identities,
     check_witness,
-    kernel_pair_field,
     kernel_pair_oracle,
     kernel_pair_preimage,
     kernel_pair_projection,
@@ -89,16 +88,4 @@ from .polykernel import (
 )
 from .rings import ModRing, PolyRing, PrimeField, make_ring
 
-__version__ = "0.2.0"
-
-
-def kernel_of_pair(a: Matrix, b: Matrix, method: str = "auto"):
-    """ker(f1|f2) for any supported ring: a KernelPairResult (a
-    LocalGlobalResult over Z/m and (Z/m)[z]) whose ker_bar is the
-    canonical presentation.
-
-    ``auto`` runs projection over GF(p), per-prime gluing over Z/m and
-    Hermite kernels over GF(p)[z]; a method that does not apply to the
-    ring raises MethodUnavailableError.  See ``crt.kernel_pair``.
-    """
-    return crt.kernel_pair(a, b, method)[0]
+__version__ = "0.3.0"

@@ -236,12 +236,15 @@ def admissible(sys: SystemPair, query: AdmissibleInputQuery) -> Trajectory | Non
 
 
 def pencil(sys: SystemPair) -> tuple:
-    """(zI - A, B) over GF(p)[z] for a system over GF(p)."""
+    """(zI - A, B) over GF(p)[z] for a system over GF(p), each built in one
+    pass of canonical constants, with z added on the diagonal."""
     if not isinstance(sys.ring, PrimeField):
         raise NotAFieldError(f"pencil needs a prime field, got {sys.ring!r}")
-    ring = PolyRing(sys.ring.p)
-    a, b = (m.map_entries(ring.constant, ring=ring) for m in (sys.a, sys.b))
-    return Matrix.identity(ring, sys.n).scale(ring.z) - a, b
+    p, n, ring = sys.ring.p, sys.n, PolyRing(sys.ring.p)
+    zi_a = [[(-c % p, 1) if i == j else (-c % p,) if c else () for j, c in enumerate(row)]
+            for i, row in enumerate(sys.a.entries)]
+    b = [[(c,) if c else () for c in row] for row in sys.b.entries]
+    return Matrix._canonical(ring, n, n, zi_a), Matrix._canonical(ring, n, sys.m, b)
 
 
 def _reachable(sys: SystemPair) -> tuple:
@@ -274,14 +277,14 @@ def codeword_consistency(sys: SystemPair) -> list:
     the chi of ``_reachable``."""
     p_matrix, b_poly = pencil(sys)
     ring, n = p_matrix.ring, sys.n
-    result, witness = kernel_pair_poly(p_matrix, b_poly)
+    result = kernel_pair_poly(p_matrix, b_poly)
     out = []
     if result.ker_f1.rank != 0:
         out.append("pencil zI - A has a nonzero kernel")
     if result.ker_pair.rank != result.ker_bar.rank:
         out.append(f"rank ker(zI-A, B) = {result.ker_pair.rank} != "
                    f"rank ker(zI-A | B) = {result.ker_bar.rank}")
-    for j, col in enumerate(witness.section.columns()):
+    for j, col in enumerate(result.witness.section.columns()):
         if any(map(ring.add, p_matrix.matvec(col[:n]), b_poly.matvec(col[n:]))):
             out.append(f"section column {j} fails (zI - A) x + B u = 0")
     det, ker_bar = ring.one, result.ker_bar

@@ -321,7 +321,7 @@ def cmd_kernel_pair(args, out) -> int:
     if checks and not args.verify:
         raise MatrixParseError(f"--{next(iter(checks))} needs --verify")
     ring, a, b = _pair(args)
-    result, witness = crt.kernel_pair(a, b, method=args.method)
+    result = crt.kernel_pair(a, b, method=args.method)
     doc = {"command": "kernel-pair", "ring": repr(ring),
            "matrices": [args.name_a, args.name_b], "method": args.method,
            "ker_bar": _submodule_doc(result.ker_bar),
@@ -334,8 +334,8 @@ def cmd_kernel_pair(args, out) -> int:
         doc["per_prime"] = [
             {"prime": p, "ker_bar": _submodule_doc(r.ker_bar)}
             for p, r in zip(result.primes, result.local_results)]
-    if witness is not None:
-        doc["section"] = [_vector_doc(ring, c) for c in witness.section.columns()]
+    if result.witness is not None:
+        doc["section"] = [_vector_doc(ring, c) for c in result.witness.section.columns()]
 
     violations = []
     if args.verify:
@@ -467,9 +467,8 @@ class _Instance:
 
     def __init__(self, a: Matrix, b: Matrix, rng, trials: int):
         self.a, self.b, self.ring, self.rng, self.trials = a, b, a.ring, rng, trials
-        self.result, self.witness = crt.kernel_pair(a, b)
+        self.result = r = crt.kernel_pair(a, b)
         self.split, self.finite = not is_local(self.ring), self.ring.size is not None
-        r = self.result
         self.locals = [("", a, b, r)] if not self.split else [
             (f"mod {p}: ", fa, fb, local)
             for p, (fa, fb), local in zip(r.primes, r.local_pairs, r.local_results)]
@@ -483,7 +482,7 @@ def _each_local(check):
 
 def _method_agreement(c) -> list:
     bars = {"projection": c.result.ker_bar, "preimage": _ker_bar(c.a, c.b),
-            "quotient": _quotient_ker_bar(c.a, c.b)[0]}
+            "quotient": _quotient_ker_bar(c.a, c.b)}
     if bars["projection"] == bars["preimage"] == bars["quotient"]:
         return []
     return ["method presentations differ: "
@@ -541,8 +540,8 @@ _CHECKS = (
     ("method-agreement", lambda c: c.ring.is_field, _method_agreement),
     ("kernel-exactness", lambda c: not c.finite, _each_local(_kernel_exactness)),
     ("rank-identity", lambda c: not c.finite, _each_local(_rank_identity)),
-    ("splitting-witness", lambda c: c.witness is not None,
-     lambda c: check_witness(c.a, c.b, c.result, c.witness)),
+    ("splitting-witness", lambda c: c.result.witness is not None,
+     lambda c: check_witness(c.a, c.b, c.result)),
     ("cardinality", lambda c: c.finite, _cardinality),
     ("oracle", lambda c: c.finite and c.ring.size ** c.b.ncols <= 10 ** 5, _oracle),
     ("automorphism-identities", lambda c: c.finite,
@@ -672,3 +671,7 @@ def main(argv=None, out=None) -> int:
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

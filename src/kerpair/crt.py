@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .errors import MethodUnavailableError, RingMismatchError
 from .kernel import (
     _FAMILY_METHOD,
+    _METHODS,
     KernelPairResult,
     _check_pair,
-    kernel_pair_field,
     kernel_pair_oracle,
     kernel_pair_projection,
 )
@@ -81,32 +81,33 @@ def solve(a: Matrix, c) -> tuple | None:
     return None if None in parts else split.glue(parts)
 
 
-def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):
-    """(result, witness or None): ker(f1|f2) over any supported ring.
+def kernel_pair(a: Matrix, b: Matrix, method: str = "auto") -> KernelPairResult:
+    """ker(f1|f2) over any supported ring, as a KernelPairResult (a
+    LocalGlobalResult over Z/m and (Z/m)[z]).
 
     ``auto`` runs the ring family's own method: projection over GF(p),
     per-prime gluing over Z/m, Hermite kernels over GF(p)[z] and
-    (Z/m)[z].  Fields also take ``preimage`` and ``quotient``, finite
-    rings ``oracle``; any other method raises MethodUnavailableError.
-    The witness is the split-sequence section over GF(p) (projection)
-    and GF(p)[z]; the oracle's result has ker_bar only.
+    (Z/m)[z].  Fields also take ``preimage`` and ``quotient``
+    (``kernel._METHODS``), finite rings ``oracle``; any other method
+    raises MethodUnavailableError.  The witness is the split-sequence
+    section over GF(p) (projection) and GF(p)[z], else None.
     """
     ring = a.ring
     if method == "oracle":
         if isinstance(ring, PolyRing):
             raise MethodUnavailableError("the enumeration oracle cannot run over "
                                          "an infinite polynomial ring")
-        return KernelPairResult(ker_f1=None, ker_pair=None,
-                                ker_bar=kernel_pair_oracle(a, b), method="oracle"), None
+        return KernelPairResult(ker_f1=None, ker_pair=None, ker_bar=kernel_pair_oracle(a, b),
+                                method="oracle", witness=None)
+    if isinstance(ring, PrimeField) and method in _METHODS:
+        return _METHODS[method](a, b)
     if method not in ("auto", _FAMILY_METHOD[type(ring)]):
-        if isinstance(ring, PrimeField):
-            return kernel_pair_field(a, b, method), None
-        hint = "auto or oracle" if isinstance(ring, ModRing) else "auto"
-        raise MethodUnavailableError(
-            f"method {method!r} does not apply to {ring!r}; use {hint}")
+        hint = ("" if isinstance(ring, PrimeField) else
+                "; use auto or oracle" if isinstance(ring, ModRing) else "; use auto")
+        raise MethodUnavailableError(f"method {method!r} does not apply to {ring!r}{hint}")
     if is_local(ring):
         return _local("kernel_pair", ring)(a, b)
-    return glue_kernel_pair(a, b), None
+    return glue_kernel_pair(a, b)
 
 
 # -- local-global results ----------------------------------------------------
@@ -114,9 +115,9 @@ def kernel_pair(a: Matrix, b: Matrix, method: str = "auto"):
 
 @dataclass(frozen=True)
 class LocalGlobalResult(KernelPairResult):
-    """A kernel pair over a split ring: ker_f1, ker_pair and ker_bar glued
-    from one local KernelPairResult per prime, each beside the local pair
-    (A mod p, B mod p) it answers."""
+    """A kernel pair over a split ring, with no witness: ker_f1, ker_pair and
+    ker_bar glued from one local KernelPairResult per prime, witness and all,
+    each beside the local pair (A mod p, B mod p) it answers."""
 
     primes: tuple
     local_results: tuple
@@ -131,15 +132,14 @@ def glue_kernel_pair(a: Matrix, b: Matrix) -> LocalGlobalResult:
     if isinstance(a.ring, PrimeField):
         raise RingMismatchError(f"expected a Z/m or (Z/m)[z] matrix, got one over {a.ring!r}")
     split = split_ring(a.ring)
-    pairs, answers = zip(*_per_prime("kernel_pair", split, a, b))
-    locals_ = tuple(r for r, _ in answers)
+    pairs, locals_ = zip(*_per_prime("kernel_pair", split, a, b))
 
     def glue(part, ambient):
         return Submodule(a.ring, ambient, components=[getattr(r, part) for r in locals_])
 
     return LocalGlobalResult(
         ker_f1=glue("ker_f1", a.ncols), ker_pair=glue("ker_pair", a.ncols + b.ncols),
-        ker_bar=glue("ker_bar", b.ncols), method=_FAMILY_METHOD[type(a.ring)],
+        ker_bar=glue("ker_bar", b.ncols), method=_FAMILY_METHOD[type(a.ring)], witness=None,
         primes=split.primes, local_results=locals_, local_pairs=pairs)
 
 

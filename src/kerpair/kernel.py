@@ -27,27 +27,14 @@ from dataclasses import dataclass, replace
 from .errors import (
     DimensionMismatchError,
     IdentityViolatedError,
-    MethodUnavailableError,
     NotFiniteError,
     NotInvertible,
     OracleTooLargeError,
     RingMismatchError,
 )
 from .linalg import Submodule, _echelon, _span, image, nullspace, rref
-from .matrix import Matrix, hstack, vstack
+from .matrix import Matrix, _combination, hstack, vstack
 from .rings import ModRing, PolyRing, PrimeField, split_ring
-
-
-@dataclass(frozen=True)
-class KernelPairResult:
-    ker_f1: Submodule      # of R^q1; None from the oracle, which enumerates ker_bar only
-    ker_pair: Submodule    # of R^(q1+q2); None from the oracle
-    ker_bar: Submodule     # of R^q2, this is ker(f1|f2)
-    method: str
-
-
-#: The method ``auto`` runs over each ring family, and the name its results carry.
-_FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,20 @@ class ExactSequenceWitness:
     iota: Matrix     # (q1+q2) x q1
     pi2: Matrix      # q2 x (q1+q2)
     section: Matrix  # (q1+q2) x dim(ker_bar)
+
+
+@dataclass(frozen=True)
+class KernelPairResult:
+    ker_f1: Submodule      # of R^q1; None from the oracle, which enumerates ker_bar only
+    ker_pair: Submodule    # of R^(q1+q2); None from the oracle
+    ker_bar: Submodule     # of R^q2, this is ker(f1|f2)
+    method: str
+    # the split of ``_split``, over GF(p) (projection) and GF(p)[z]; else None
+    witness: ExactSequenceWitness | None
+
+
+#: The method ``auto`` runs over each ring family, and the name its results carry.
+_FAMILY_METHOD = {PrimeField: "projection", ModRing: "crt", PolyRing: "poly"}
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
 
 
 def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
-    """(result, witness) of the split sequence over GF(p) or GF(p)[z], from
+    """The kernel pair over GF(p) or GF(p)[z], with its split witness, from
     ker_f1, ker_bar and the x-parts ``xs`` of the section: one x with
     A x = -B u per ker_bar basis vector u.  The section is [xs ; ker_bar's
     basis], and ker(f1,f2) is spanned by iota(ker_f1) and the section: it
@@ -126,12 +127,12 @@ def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
         ker_pair = Submodule(ring, q1 + q2, basis=iota_f1, pivot_rows=ker_f1.pivot_rows)
     else:
         ker_pair = _span(ring, q1 + q2, iota_f1.columns() + section.columns())
-    result = KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
-                              method=_FAMILY_METHOD[type(ring)])
-    return result, ExactSequenceWitness(iota=iota, pi2=pi2, section=section)
+    return KernelPairResult(ker_f1=ker_f1, ker_pair=ker_pair, ker_bar=ker_bar,
+                            method=_FAMILY_METHOD[type(ring)],
+                            witness=ExactSequenceWitness(iota=iota, pi2=pi2, section=section))
 
 
-def kernel_pair_projection(a: Matrix, b: Matrix):
+def kernel_pair_projection(a: Matrix, b: Matrix) -> KernelPairResult:
     """ker(f1|f2) as the u-projection of the joint kernel of [A|B], with the
     split-sequence witness: at most three eliminations, no solve.
 
@@ -170,8 +171,9 @@ def _preimage(m: Matrix, b: Matrix) -> Submodule:
 
 def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
     """ker(f1|f2) by the preimage method (``_ker_bar``), with ker_f1 and
-    the joint kernel alongside."""
-    return replace(kernel_pair_projection(a, b)[0], ker_bar=_ker_bar(a, b), method="preimage")
+    the joint kernel alongside, and no witness."""
+    return replace(kernel_pair_projection(a, b), ker_bar=_ker_bar(a, b), method="preimage",
+                   witness=None)
 
 
 def quotient_map(a: Matrix) -> QuotientMap:
@@ -181,46 +183,37 @@ def quotient_map(a: Matrix) -> QuotientMap:
     return QuotientMap(matrix=c, rank_f1=res.rank)
 
 
-def _quotient_ker_bar(a: Matrix, b: Matrix):
-    """(ker(p1 . f2), p1) where p1 is the quotient map N -> N/Im(f1).
-    Forms ker_bar alone."""
-    qm = quotient_map(a)
-    return nullspace(qm.matrix @ b), qm
+def _quotient_ker_bar(a: Matrix, b: Matrix) -> Submodule:
+    """ker(p1 . f2), p1 the quotient map N -> N/Im(f1): ker_bar alone."""
+    return nullspace(quotient_map(a).matrix @ b)
 
 
-def kernel_pair_quotient(a: Matrix, b: Matrix):
-    """ker(f1|f2) as ker(p1 . f2) where p1 is the quotient map N -> N/Im(f1)."""
-    _check_pair(a, b)
-    ker_bar, qm = _quotient_ker_bar(a, b)
-    return replace(kernel_pair_projection(a, b)[0], ker_bar=ker_bar, method="quotient"), qm
+def kernel_pair_quotient(a: Matrix, b: Matrix) -> KernelPairResult:
+    """ker(f1|f2) as ker(p1 . f2) where p1 is the quotient map N -> N/Im(f1),
+    with ker_f1 and the joint kernel alongside, and no witness."""
+    return replace(kernel_pair_projection(a, b), ker_bar=_quotient_ker_bar(a, b),
+                   method="quotient", witness=None)
 
 
-_METHODS = {
-    "projection": lambda a, b: kernel_pair_projection(a, b)[0],
-    "preimage": kernel_pair_preimage,
-    "quotient": lambda a, b: kernel_pair_quotient(a, b)[0],
-}
-
-
-def kernel_pair_field(a: Matrix, b: Matrix, method: str = "projection") -> KernelPairResult:
-    if method not in _METHODS:
-        raise MethodUnavailableError(f"method {method!r} does not apply to {a.ring!r}")
-    return _METHODS[method](a, b)
+#: The field methods, by name; ``crt.kernel_pair`` dispatches through it.
+_METHODS = {"projection": kernel_pair_projection, "preimage": kernel_pair_preimage,
+            "quotient": kernel_pair_quotient}
 
 
 # -- witness checking -------------------------------------------------------
 
 
-def check_witness(a: Matrix, b: Matrix, result: KernelPairResult,
-                  witness: ExactSequenceWitness) -> list:
-    """Verify every ExactSequenceWitness invariant; returns violations.
+def check_witness(a: Matrix, b: Matrix, result: KernelPairResult) -> list:
+    """Verify every invariant of ``result.witness``; returns violations.
 
     Works over prime fields and over GF(p)[z] (both hereditary, so the
     sequence must split).  An empty list means the witness is valid.
     """
     from .crt import kernel
 
-    ring = a.ring
+    witness, ring = result.witness, a.ring
+    if witness is None:
+        return [f"no split-sequence witness in the {result.method} result"]
     q1, q2 = a.ncols, b.ncols
     ab = hstack(a, b)
     violations = []
@@ -267,10 +260,9 @@ def _solve_by_enumeration(a: Matrix, c) -> tuple | None:
     """The first x over Z/m, in product order, with A x = c (normalized), or
     None: for m with a repeated prime factor, where per-prime solvability
     can lie (4x = 2 is solvable mod 2, not mod 4).  Callers guard its size."""
-    for x in itertools.product(range(a.ring.m), repeat=a.ncols):
-        if a.matvec(x) == c:
-            return x
-    return None
+    combine = _combination(a.ring, a.columns(), a.nrows)
+    return next((x for x in itertools.product(range(a.ring.m), repeat=a.ncols)
+                 if combine(x) == c), None)
 
 
 def admissible_set(a: Matrix, b: Matrix) -> list:

@@ -224,7 +224,7 @@ def poly_solve(a: Matrix, c) -> tuple | None:
 
 
 def kernel_pair_poly(a: Matrix, b: Matrix):
-    """ker(f1|f2) over GF(p)[z] with its split-sequence witness.
+    """ker(f1|f2) over GF(p)[z], its split-sequence witness in the result.
 
     One transform-carrying reduction, of A, gives ker_f1, Im A and the
     section.  ker_bar = B^-1(Im A): reduce [H' | B] with H' the Hermite

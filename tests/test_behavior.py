@@ -588,13 +588,14 @@ def mutated_kernel_pair(fault):
     real = behavior.kernel_pair_poly
 
     def kernel_pair_poly(a, b):
-        result, witness = real(a, b)
-        ring, bar = a.ring, result.ker_bar
+        result = real(a, b)
+        ring, bar, witness = a.ring, result.ker_bar, result.witness
         if fault == "section":
             cols = witness.section.columns()
             cols[0] = (ring.add(cols[0][0], ring.one),) + cols[0][1:]
             section = Matrix.from_columns(ring, cols, nrows=witness.section.nrows)
-            return result, dataclasses.replace(witness, section=section)
+            return dataclasses.replace(
+                result, witness=dataclasses.replace(witness, section=section))
         cols, pivots = bar.basis.columns(), bar.pivot_rows
         if fault == "scale":
             cols[0] = tuple(ring.mul(ring.z, e) for e in cols[0])
@@ -606,7 +607,7 @@ def mutated_kernel_pair(fault):
             cols[0] = cols[0][:i] + (ring.add(cols[0][i], (0,) * d + (1,)),) + cols[0][i + 1:]
         bar = Submodule(ring, bar.ambient, pivot_rows=pivots,
                         basis=Matrix.from_columns(ring, cols, nrows=bar.ambient))
-        return dataclasses.replace(result, ker_bar=bar), witness
+        return dataclasses.replace(result, ker_bar=bar)
 
     return kernel_pair_poly
 

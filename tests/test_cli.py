@@ -674,16 +674,19 @@ def test_verify_poly(poly_file):
 def test_verify_negative_control(gf_file, monkeypatch):
     # corrupt the section that verify's splitting check consumes: the
     # violation must surface as a FAIL exit, not be silently accepted
+    from dataclasses import replace
+
     from kerpair import crt
     from kerpair.kernel import ExactSequenceWitness
     from kerpair.kernel import kernel_pair_projection as real
 
     def corrupted(a, b):
-        result, witness = real(a, b)
+        result = real(a, b)
+        witness = result.witness
         bad_iota = witness.iota.map_entries(
             lambda e: a.ring.add(e, a.ring.one))
-        return result, ExactSequenceWitness(iota=bad_iota, pi2=witness.pi2,
-                                            section=witness.section)
+        return replace(result, witness=ExactSequenceWitness(
+            iota=bad_iota, pi2=witness.pi2, section=witness.section))
 
     monkeypatch.setitem(crt.FIELD, "kernel_pair", corrupted)
     code, text = run_cli(["verify", gf_file, "A", "B", "--trials", "1"])

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import kerpair.crt as crt
+import kerpair.kernel as kernel
 from kerpair import (
     KernelPairResult,
     Matrix,
@@ -15,13 +16,16 @@ from kerpair import (
     RingMismatchError,
     admissible_set,
     base_change_check,
+    check_witness,
     idempotents,
     kernel_of_pair,
     kernel_pair_crt,
     kernel_pair_oracle,
     kernel_pair_poly,
     kernel_pair_poly_crt,
+    kernel_pair_preimage,
     kernel_pair_projection,
+    kernel_pair_quotient,
     random_matrix,
     reduce_matrix,
 )
@@ -219,9 +223,9 @@ def test_generators_live_in_glued_kernel():
 
 
 @pytest.mark.parametrize("ring, family_entry, inapplicable", [
-    (PrimeField(5), lambda a, b: kernel_pair_projection(a, b)[0], "crt"),
+    (PrimeField(5), kernel_pair_projection, "crt"),
     (ModRing(30), kernel_pair_crt, "quotient"),
-    (PolyRing(5), lambda a, b: kernel_pair_poly(a, b)[0], "projection"),
+    (PolyRing(5), kernel_pair_poly, "projection"),
     (PolyRing(30), kernel_pair_poly_crt, "oracle"),
 ], ids=["GF(5)", "Z/30", "GF(5)[z]", "(Z/30)[z]"])
 def test_kernel_of_pair_single_dispatch(ring, family_entry, inapplicable):
@@ -247,8 +251,57 @@ def test_result_names_its_family_method(ring, method):
     """Auto and the family's own method both report that method."""
     for a, b in pair_instances(ring, 3, seed=251, max_rows=2, max_q1=2,
                                max_q2=2, max_degree=1):
-        assert crt.kernel_pair(a, b)[0].method == method
-        assert crt.kernel_pair(a, b, method)[0].method == method
+        assert crt.kernel_pair(a, b).method == method
+        assert crt.kernel_pair(a, b, method).method == method
+
+
+@pytest.mark.parametrize("ring, split", [
+    (PrimeField(7), False),
+    (PolyRing(5), False),
+    (ModRing(30030), True),
+    (PolyRing(30), True),
+], ids=["GF(7)", "GF(5)[z]", "Z/30030", "(Z/30)[z]"])
+def test_kernel_pair_result_carries_its_witness(ring, split):
+    """The split-sequence witness rides in the result over GF(p) and
+    GF(p)[z]; over a split ring the glued result has none, and each local
+    result keeps its own, which checks against its local pair."""
+    for a, b in pair_instances(ring, 12, seed=271, max_degree=1):
+        result = kernel_of_pair(a, b)
+        if not split:
+            assert result.witness is not None
+            assert check_witness(a, b, result) == []
+            continue
+        assert result.witness is None
+        assert len(result.local_results) == len(result.primes)
+        for pair, local in zip(result.local_pairs, result.local_results):
+            assert local.witness is not None
+            assert check_witness(*pair, local) == []
+
+
+def test_one_method_dispatch():
+    """kernel_of_pair is crt.kernel_pair, which runs the field methods
+    through kernel._METHODS, a flat dict of the public functions."""
+    assert kernel_of_pair is crt.kernel_pair
+    assert kernel._METHODS == {"projection": kernel_pair_projection,
+                               "preimage": kernel_pair_preimage,
+                               "quotient": kernel_pair_quotient}
+
+
+def test_only_the_split_carries_a_witness():
+    """The preimage, quotient, oracle and glued results have no witness,
+    and check_witness reports that instead of passing."""
+    for a, b in pair_instances(PrimeField(5), 8, seed=277):
+        assert kernel_pair_projection(a, b).witness is not None
+        for result in (kernel_pair_preimage(a, b), kernel_pair_quotient(a, b),
+                       kernel_of_pair(a, b, "preimage"), kernel_of_pair(a, b, "quotient"),
+                       kernel_of_pair(a, b, "oracle")):
+            assert result.witness is None
+            assert check_witness(a, b, result) != []
+    for a, b in pair_instances(Z30, 4, seed=281, max_q2=2):
+        assert kernel_of_pair(a, b, "oracle").witness is None
+        assert kernel_pair_crt(a, b).witness is None
+    for a, b in pair_instances(PolyRing(30), 4, seed=283, max_degree=1):
+        assert kernel_pair_poly_crt(a, b).witness is None
 
 
 # A = [[6, 10 z], [0, 15]] reduces to [[0, 0], [0, 1]] mod 2, [[0, z], [0, 0]]

@@ -188,12 +188,12 @@ def ref_kernel_pair(a, b):
 
 
 def assert_kernel_pair_like_reference(a, b):
-    result, witness = kernel_pair_projection(a, b)
+    result = kernel_pair_projection(a, b)
     got = (result.ker_f1, result.ker_pair, result.ker_bar)
     ref_f1, ref_pair, ref_bar, ref_section = ref_kernel_pair(a, b)
     assert got == (ref_f1, ref_pair, ref_bar)
     assert [s.pivot_rows for s in got] == [s.pivot_rows for s in (ref_f1, ref_pair, ref_bar)]
-    assert witness.section == ref_section
+    assert result.witness.section == ref_section
     return result
 
 
@@ -255,8 +255,8 @@ def pairs(draw):
 
 def section_solves(a, b):
     """(u, x_u) for each section column (x_u, u) of kernel_pair_projection."""
-    _, witness = kernel_pair_projection(a, b)
-    return [(col[a.ncols:], col[:a.ncols]) for col in witness.section.columns()]
+    section = kernel_pair_projection(a, b).witness.section
+    return [(col[a.ncols:], col[:a.ncols]) for col in section.columns()]
 
 
 # -- exact agreement --------------------------------------------------------
@@ -493,10 +493,10 @@ def test_eliminations_per_kernel_pair_constant(p, monkeypatch):
     counts, dims = [], []
     for inside in (False, True):
         calls.clear()
-        result, witness = kernel_pair(*_pair(p, inside, rng))
+        result = kernel_pair(*_pair(p, inside, rng))
         counts.append(len(calls))
         dims.append(result.ker_bar.dim)
-        assert witness.section.ncols == result.ker_bar.dim
+        assert result.witness.section.ncols == result.ker_bar.dim
     assert dims[1] - dims[0] >= 10
     assert counts[0] == counts[1] <= 3
 
@@ -518,9 +518,9 @@ def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
     for a, eliminations in ((Matrix(ring, 3, 1, [[1], [0], [0]]), 1),
                             (Matrix(ring, 3, 2, [[1, 1], [0, 0], [0, 0]]), 2)):
         calls.clear()
-        result, witness = kernel_pair_projection(a, b)
+        result = kernel_pair_projection(a, b)
         assert result.ker_bar.is_zero() and result.ker_f1.dim == a.ncols - 1
-        assert (witness.section.nrows, witness.section.ncols) == (a.ncols + 1, 0)
+        assert (result.witness.section.nrows, result.witness.section.ncols) == (a.ncols + 1, 0)
         assert len(calls) == eliminations
 
 
@@ -615,7 +615,7 @@ def test_kernel_pair_200x300_is_fast():
     best = float("inf")
     for _ in range(3):
         start = time.perf_counter()
-        result, witness = kernel_pair(a, b)
+        result = kernel_pair(a, b)
         best = min(best, time.perf_counter() - start)
-    assert witness.section.ncols == result.ker_bar.dim == 50
+    assert result.witness.section.ncols == result.ker_bar.dim == 50
     assert best < 0.6

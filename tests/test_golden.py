@@ -7,7 +7,9 @@ GF(5), Z/30, Z/12 (not square-free: the error paths), GF(5)[z] and
 (Z/30)[z], every kernel-pair method valid for the ring and one that is
 not.  Each script in ``demos/`` runs in a subprocess with
 ``PYTHONPATH=src``, its stdout compared byte for byte with
-``tests/golden/demos/<name>.txt``.  Regenerate the expected files (only
+``tests/golden/demos/<name>.txt``, and ``python -m kerpair.cli`` runs
+one golden case and one parse error the same way.  Regenerate the
+expected files (only
 when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -83,10 +85,18 @@ def render(argv) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def run_demo(script) -> str:
+def python(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a subprocess from the repository root, with
+    ``PYTHONPATH=src``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
-                          check=True, capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT,
+                          capture_output=True, text=True)
+
+
+def run_demo(script) -> str:
+    proc = python(str(script))
+    proc.check_returncode()
+    return proc.stdout
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -98,6 +108,18 @@ def test_golden(case):
 @pytest.mark.parametrize("script", DEMOS, ids=lambda s: s.stem)
 def test_demo_output(script):
     assert run_demo(script) == (DEMO_OUT / f"{script.stem}.txt").read_text()
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m kerpair.cli`` exits with main's code: 2 and an error line
+    for a matrix short of rows, and a golden case's code and stdout."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("ring gf 5\nmatrix A 1 1\n1\nmatrix B 1 1\n")
+    proc = python("-m", "kerpair.cli", "verify", str(bad), "A", "B")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: matrix 'B' ends after 0 of 1 rows (line 4)\n"
+    proc = python("-m", "kerpair.cli", *CASES["gf5-verify"], "--json")
+    assert f"exit {proc.returncode}\n{proc.stdout}" == (OUT / "gf5-verify.txt").read_text()
 
 
 def test_corpus_has_no_stray_files():

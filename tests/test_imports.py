@@ -34,8 +34,8 @@ SURFACE = frozenset("""
     PrimeField ModRing PolyRing make_ring idempotents
     Matrix hstack vstack Submodule RrefResult rref nullspace image solve
     random_matrix random_invertible vector_degree
-    kernel_pair_field kernel_pair_projection kernel_pair_preimage
-    kernel_pair_quotient kernel_pair_oracle admissible_set quotient_map
+    kernel_pair_projection kernel_pair_preimage kernel_pair_quotient
+    kernel_pair_oracle admissible_set quotient_map
     QuotientMap Automorphism
     kernel_pair_crt kernel_pair_poly_crt reduce_matrix base_change_check
     kernel_pair_poly poly_kernel poly_solve poly_member hermite_basis
@@ -50,11 +50,16 @@ SURFACE = frozenset("""
 """.split())
 
 
+#: The header rows of the README's migration tables, one per release that retired names.
+MIGRATIONS = ("| 0.1 name | 0.2.0 replacement |", "| 0.2.0 name | 0.3.0 replacement |")
+
+
 def retired_names():
-    """The names retired in 0.2.0: the first column of the README's
-    migration table, read as the last dotted part before any call."""
-    table = README.split("| 0.1 name | 0.2.0 replacement |")[1].split("\n\n")[0]
-    return {m.group(1) for m in re.finditer(r"^\| `(?:\w+\.)?(\w+)", table, re.MULTILINE)}
+    """The names retired in 0.2.0 and 0.3.0: the first column of the
+    README's migration tables, read as the last dotted part before any call."""
+    tables = [README.split(header)[1].split("\n\n")[0] for header in MIGRATIONS]
+    return {m.group(1) for table in tables
+            for m in re.finditer(r"^\| `(?:\w+\.)?(\w+)", table, re.MULTILINE)}
 
 
 def imports(path):
@@ -97,7 +102,7 @@ def test_public_names_are_the_documented_surface():
 def test_no_module_binds_a_retired_name():
     """Neither a kerpair module nor a class it defines binds a retired name."""
     retired = retired_names()
-    assert len(retired) == 16
+    assert len(retired) == 17
     modules = [kerpair] + [importlib.import_module(f"kerpair.{info.name}")
                            for info in pkgutil.iter_modules(kerpair.__path__)]
     bound = []
@@ -114,4 +119,4 @@ def test_version_is_declared_once():
     declared = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(),
                          re.MULTILINE)
     assert declared is not None
-    assert declared.group(1) == kerpair.__version__ == "0.2.0"
+    assert declared.group(1) == kerpair.__version__ == "0.3.0"

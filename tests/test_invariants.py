@@ -77,14 +77,14 @@ def _dropped_generator(a, b):
     """The GF(p)[z] kernel pair with ker_bar's last generator and its
     section column dropped, and ker_pair rebuilt from that split: a
     witness consistent with its own result, but not with ker(f1,f2)."""
-    result, witness = kernel_pair_poly(a, b)
-    ring, q1, q2 = a.ring, a.ncols, b.ncols
+    result = kernel_pair_poly(a, b)
+    ring, q1, q2, witness = a.ring, a.ncols, b.ncols, result.witness
     us = Matrix.from_columns(ring, result.ker_bar.basis.columns()[:-1], nrows=q2)
     section = Matrix.from_columns(ring, witness.section.columns()[:-1], nrows=q1 + q2)
     iota = [witness.iota.matvec(x) for x in result.ker_f1.basis.columns()]
     ker_pair = Matrix.from_columns(ring, iota + section.columns(), nrows=q1 + q2)
-    result = replace(result, ker_bar=hermite_basis(us), ker_pair=hermite_basis(ker_pair))
-    return result, replace(witness, section=section)
+    return replace(result, ker_bar=hermite_basis(us), ker_pair=hermite_basis(ker_pair),
+                   witness=replace(witness, section=section))
 
 
 def test_joint_kernel_missing_a_section_fails_verify(monkeypatch):

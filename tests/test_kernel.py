@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from kerpair import (
     admissible_set,
     check_identities,
     check_witness,
-    kernel_pair_field,
+    kernel_of_pair,
     kernel_pair_oracle,
     kernel_pair_preimage,
     kernel_pair_projection,
@@ -42,11 +43,11 @@ METHODS = ("projection", "preimage", "quotient")
 def test_worked_example_gf2():
     a = Matrix(GF2, 2, 2, [[1, 0], [0, 0]])
     b = Matrix(GF2, 2, 1, [[1], [1]])
-    result, witness = kernel_pair_projection(a, b)
+    result = kernel_pair_projection(a, b)
     assert result.ker_f1.basis.columns() == [(0, 1)]
     assert result.ker_pair.dim == 1
     assert result.ker_bar.is_zero()
-    assert check_witness(a, b, result, witness) == []
+    assert check_witness(a, b, result) == []
     # u=1 would need (1,1) in Im A = span{(1,0)}: it is not
     assert admissible_set(a, b) == [(0,)]
 
@@ -54,7 +55,7 @@ def test_worked_example_gf2():
 def test_worked_example_quotient_map():
     a = Matrix(GF2, 2, 2, [[1, 0], [0, 0]])
     b = Matrix(GF2, 2, 1, [[1], [1]])
-    result, qm = kernel_pair_quotient(a, b)
+    result, qm = kernel_pair_quotient(a, b), quotient_map(a)
     assert qm.matrix.entries == ((0, 1),)
     assert qm.rank_f1 == 1
     assert (qm.matrix @ a).is_zero()
@@ -66,7 +67,7 @@ def test_worked_example_gf3():
     a = Matrix(GF3, 2, 1, [[1], [0]])
     b = Matrix(GF3, 2, 1, [[0], [1]])
     for method in METHODS:
-        assert kernel_pair_field(a, b, method).ker_bar.is_zero()
+        assert kernel_of_pair(a, b, method).ker_bar.is_zero()
     assert kernel_pair_oracle(a, b).is_zero()
     # oracle by hand: (0,u) in span{(1,0)} iff u = 0
     assert admissible_set(a, b) == [(0,)]
@@ -79,28 +80,28 @@ def test_zero_f1_gives_nullspace_of_b():
     b = Matrix(GF3, 2, 2, [[1, 2], [0, 0]])
     a = Matrix.zeros(GF3, 2, 2)
     for method in METHODS:
-        assert kernel_pair_field(a, b, method).ker_bar == nullspace(b)
+        assert kernel_of_pair(a, b, method).ker_bar == nullspace(b)
 
 
 def test_onto_f1_gives_full():
     a = Matrix(GF5, 2, 3, [[1, 0, 2], [0, 1, 3]])  # rank 2 = p
     b = random_matrix(GF5, 2, 2, random.Random(5))
     for method in METHODS:
-        assert kernel_pair_field(a, b, method).ker_bar.is_full()
+        assert kernel_of_pair(a, b, method).ker_bar.is_full()
 
 
 def test_zero_f1_identity_f2_gives_zero():
     a = Matrix.zeros(GF2, 2, 2)
     b = Matrix.identity(GF2, 2)
     for method in METHODS:
-        assert kernel_pair_field(a, b, method).ker_bar.is_zero()
+        assert kernel_of_pair(a, b, method).ker_bar.is_zero()
 
 
 def test_zero_f2_gives_full():
     a = Matrix(GF3, 2, 2, [[1, 2], [0, 1]])
     b = Matrix.zeros(GF3, 2, 2)
     for method in METHODS:
-        assert kernel_pair_field(a, b, method).ker_bar.is_full()
+        assert kernel_of_pair(a, b, method).ker_bar.is_full()
 
 
 def test_image_containment_gives_full():
@@ -110,7 +111,7 @@ def test_image_containment_gives_full():
         x = random_matrix(GF3, 2, 2, rng)
         b = a @ x  # Im(B) inside Im(A) by construction
         for method in METHODS:
-            assert kernel_pair_field(a, b, method).ker_bar.is_full()
+            assert kernel_of_pair(a, b, method).ker_bar.is_full()
 
 
 def test_full_row_rank_quotient_has_no_rows():
@@ -131,7 +132,7 @@ def test_quotient_of_zero_map_is_identity():
 def test_methods_agree_and_oracle_confirms():
     for ring in (GF2, GF3, GF5):
         for a, b in pair_instances(ring, 60, seed=101):
-            results = [kernel_pair_field(a, b, m) for m in METHODS]
+            results = [kernel_of_pair(a, b, m) for m in METHODS]
             first = results[0].ker_bar
             for res in results[1:]:
                 assert res.ker_bar == first  # identical presentations
@@ -150,15 +151,13 @@ def test_cardinality_identity():
 def test_witness_invariants_on_randoms():
     for ring in (GF2, GF5):
         for a, b in pair_instances(ring, 40, seed=131):
-            result, witness = kernel_pair_projection(a, b)
-            assert check_witness(a, b, result, witness) == []
+            assert check_witness(a, b, kernel_pair_projection(a, b)) == []
 
 
 def test_section_maps_into_ker_pair():
     a = Matrix(GF3, 1, 1, [[1]])
     b = Matrix(GF3, 1, 2, [[1, 2]])
-    result, witness = kernel_pair_projection(a, b)
-    for col in witness.section.columns():
+    for col in kernel_pair_projection(a, b).witness.section.columns():
         assert a.matvec(col[:1]) == tuple(
             GF3.neg(x) for x in b.matvec(col[1:]))
 
@@ -166,42 +165,37 @@ def test_section_maps_into_ker_pair():
 def test_section_is_deterministic():
     a = Matrix(GF5, 2, 3, [[1, 0, 2], [0, 1, 3]])
     b = Matrix(GF5, 2, 2, [[1, 2], [3, 4]])
-    w1 = kernel_pair_projection(a, b)[1]
-    w2 = kernel_pair_projection(a, b)[1]
+    w1 = kernel_pair_projection(a, b).witness
+    w2 = kernel_pair_projection(a, b).witness
     assert w1.section == w2.section
     assert w1.iota == w2.iota and w1.pi2 == w2.pi2
 
 
 def test_pi2_section_is_identity_on_ker_bar():
     for a, b in pair_instances(GF3, 30, seed=151):
-        result, witness = kernel_pair_projection(a, b)
-        proj = witness.pi2 @ witness.section
+        result = kernel_pair_projection(a, b)
+        proj = result.witness.pi2 @ result.witness.section
         assert proj == result.ker_bar.basis
 
 
 def test_check_witness_flags_corruption():
     a = Matrix(GF3, 1, 1, [[1]])
     b = Matrix(GF3, 1, 2, [[1, 2]])
-    result, witness = kernel_pair_projection(a, b)
+    result = kernel_pair_projection(a, b)
     assert result.ker_bar.dim == 2
+    witness = result.witness
     bad_cols = [(1,) + col[1:] for col in witness.section.columns()]
     bad = ExactSequenceWitness(
         iota=witness.iota, pi2=witness.pi2,
         section=Matrix.from_columns(GF3, bad_cols, nrows=3))
-    assert check_witness(a, b, result, bad) != []
+    assert check_witness(a, b, replace(result, witness=bad)) != []
 
 
 def test_check_witness_flags_wrong_ker_bar():
-    from kerpair import KernelPairResult
-
     a = Matrix(GF2, 2, 2, [[1, 0], [0, 0]])
     b = Matrix(GF2, 2, 1, [[1], [1]])
-    result, witness = kernel_pair_projection(a, b)
-    forged = KernelPairResult(ker_f1=result.ker_f1,
-                              ker_pair=result.ker_pair,
-                              ker_bar=Submodule.full(GF2, 1),
-                              method="projection")
-    assert check_witness(a, b, forged, witness) != []
+    forged = replace(kernel_pair_projection(a, b), ker_bar=Submodule.full(GF2, 1))
+    assert check_witness(a, b, forged) != []
 
 
 # -- input validation ---------------------------------------------------------
