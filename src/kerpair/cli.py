@@ -184,7 +184,7 @@ def _read(path) -> str:
 
 
 class _Formatted(list):
-    """A vector's ring elements, each of which ``str.format`` writes as its
+    """A vector's ring elements, each of which ``%s`` writes as its
     ``ring.format`` text: the elements themselves over Z/q, whose
     ``format`` is ``str``, and their text over polynomial rings.  That text
     holds only digits, brackets and commas, so ``_dumps`` writes them
@@ -223,10 +223,10 @@ def _print_submodule(label: str, sub: Submodule, out):
 
 
 def _row_template(indent, width) -> str:
-    """The ``str.format`` template of a ``_Formatted`` of ``width``
-    elements, as ``_dumps`` writes it at ``indent``."""
+    """The ``%`` template of a ``_Formatted`` of ``width`` elements, as
+    ``_dumps`` writes it at ``indent``; it holds no other ``%``."""
     inner = indent + "  "
-    return f'[{inner}"' + f'",{inner}"'.join(["{}"] * width) + f'"{indent}]' if width else "[]"
+    return f'[{inner}"' + f'",{inner}"'.join(["%s"] * width) + f'"{indent}]' if width else "[]"
 
 
 def _dumps(doc, indent="\n") -> str:
@@ -234,15 +234,14 @@ def _dumps(doc, indent="\n") -> str:
     a ``_Formatted`` written as strings of their ring text.  Any indent
     sends ``json`` to its pure-Python encoder; here strings go through the
     C quoting function, a list of strings in one join, a ``_Formatted``
-    through one ``str.format`` of a row template with no quoting call, a
-    list of ``_Formatted`` of one width through one ``str.format`` of that
-    row template repeated, and an exact ``int`` through ``str``.  Values
-    dispatch on their exact type, the plain dicts, lists and scalars of a
-    document."""
+    through one ``%`` of a row template with no quoting call, a list of
+    ``_Formatted`` of one width through one ``%`` of that row template
+    repeated, and an exact ``int`` through ``str``.  Values dispatch on
+    their exact type, the plain dicts, lists and scalars of a document."""
     inner = indent + "  "
     kind = type(doc)
     if kind is _Formatted:
-        return _row_template(indent, len(doc)).format(*doc)
+        return _row_template(indent, len(doc)) % tuple(doc)
     if kind is dict:
         if not doc:
             return "{}"
@@ -255,7 +254,7 @@ def _dumps(doc, indent="\n") -> str:
         kinds = set(map(type, doc))
         if kinds == {_Formatted} and len(widths := set(map(len, doc))) == 1:
             rows = ("," + inner).join([_row_template(inner, widths.pop())] * len(doc))
-            return ("[" + inner + rows + indent + "]").format(*itertools.chain.from_iterable(doc))
+            return ("[" + inner + rows + indent + "]") % tuple(itertools.chain.from_iterable(doc))
         items = map(_quote, doc) if kinds == {str} else (_dumps(e, inner) for e in doc)
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if kind is str:
@@ -516,7 +515,7 @@ def _oracle(c) -> list:
 def _automorphism_identities(c, a, b, r) -> list:
     check, out = _identity_check(a, b), []
     for _ in range(c.trials):
-        psi1 = Automorphism(random_invertible(a.ring, a.ncols, c.rng))
+        psi1 = random_invertible(a.ring, a.ncols, c.rng)  # no clause reads its inverse
         psi2 = Automorphism(random_invertible(a.ring, b.ncols, c.rng))
         psi = Automorphism(random_invertible(a.ring, a.nrows, c.rng))
         out.extend(check(psi1, psi2, psi))

@@ -23,6 +23,7 @@ other two take ker(f1) and ker(f1,f2) from the projection.
 
 import itertools
 from dataclasses import dataclass, replace
+from operator import not_, or_
 
 from .errors import (
     DimensionMismatchError,
@@ -111,6 +112,18 @@ def _project_u(ker_pair: Submodule, q1: int, q2: int) -> Submodule:
     return Submodule.from_columns(ker_pair.ring, q2, cols)
 
 
+def _u_part(joint: Submodule, q2: int) -> Submodule:
+    """The projection onto the first q2 coordinates, the u-rows, of a
+    canonical nullspace ``joint`` over GF(p), with no elimination.  Its
+    basis is in reduced column echelon form, so the columns with a pivot
+    among the u-rows come first and every other column is 0 there; the
+    u-parts of the first ones are the projection's canonical basis."""
+    ring, rows, pivots = joint.ring, joint.basis.entries, joint.pivot_rows
+    nb = sum(r < q2 for r in pivots)
+    return Submodule(ring, q2, basis=Matrix._canonical(ring, q2, nb, [r[:nb] for r in rows[:q2]]),
+                     pivot_rows=pivots[:nb])
+
+
 def _split(ker_f1: Submodule, ker_bar: Submodule, xs: Matrix):
     """The kernel pair over GF(p) or GF(p)[z], with its split witness, from
     ker_f1, ker_bar and the x-parts ``xs`` of the section: one x with
@@ -150,11 +163,8 @@ def kernel_pair_projection(a: Matrix, b: Matrix) -> KernelPairResult:
     ring, q1, q2 = a.ring, a.ncols, b.ncols
     joint = nullspace(hstack(b, Matrix._canonical(ring, a.nrows, q1,
                                                   [r[::-1] for r in a.entries])))
-    rows, pivots = joint.basis.entries, joint.pivot_rows
-    nb = sum(r < q2 for r in pivots)
-    u_parts = Matrix._canonical(ring, q2, nb, [r[:nb] for r in rows[:q2]])
-    ker_bar = Submodule(ring, q2, basis=u_parts, pivot_rows=pivots[:nb])
-    x_rows = rows[q2:][::-1]
+    ker_bar = _u_part(joint, q2)
+    nb, x_rows = ker_bar.dim, joint.basis.entries[q2:][::-1]
     ker_f1 = _echelon(ring, q1, list(zip(*x_rows))[nb:])
     return _split(ker_f1, ker_bar, Matrix._canonical(ring, q1, nb, [r[:nb] for r in x_rows]))
 
@@ -165,8 +175,11 @@ def _ker_bar(a: Matrix, b: Matrix) -> Submodule:
 
 
 def _preimage(m: Matrix, b: Matrix) -> Submodule:
-    """f2^{-1}(Im f1) over a basis M of Im(A): ker [M|B] projected to u."""
-    return _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
+    """f2^{-1}(Im f1) over a basis M of Im(A): the u-projection of
+    ker [B|M], read off its canonical basis by ``_u_part``, so one
+    elimination (``_project_u`` of ker [M|B] is the two-elimination
+    reference the tests keep)."""
+    return _u_part(nullspace(hstack(b, m)), b.ncols)
 
 
 def kernel_pair_preimage(a: Matrix, b: Matrix) -> KernelPairResult:
@@ -285,16 +298,24 @@ def admissible_set(a: Matrix, b: Matrix) -> list:
     if isinstance(ring, PrimeField) or ring.square_free:
         # A x = -B u is solvable exactly when, at every prime, the rows of
         # A's transform past its rank (the quotient map C) kill -B u, as
-        # in ``solve``; C (-B) is built once per prime, then applied to blocks of candidates
+        # in ``solve``.  C (-B) is built once per prime and multiplies a
+        # block of candidates at a time, their q2 rows reduced mod that
+        # prime; a candidate is a member when its column is 0 in every
+        # product, and every candidate is when every C is empty
         split = None if isinstance(ring, PrimeField) else split_ring(ring)
         parts = [(a, b)] if split is None else [
             (split.reduce_matrix(a, i), split.reduce_matrix(b, i))
             for i in range(len(split.locals))]
-        checks = [quotient_map(ai).matrix @ -bi for ai, bi in parts]
+        checks = [c for ai, bi in parts if (c := quotient_map(ai).matrix @ -bi).nrows]
         members = []
         while us := list(itertools.islice(candidates, _ORACLE_BLOCK)):
-            images = [(c @ Matrix.from_columns(c.ring, us, q2)).columns() for c in checks]
-            members += [u for u, *cols in zip(us, *images) if not any(map(any, cols))]
+            rows, nonzero = list(zip(*us)), [0] * len(us)
+            for c in checks:
+                p = c.ring.p
+                block = rows if p == ring.size else [map(p.__rmod__, r) for r in rows]
+                for image_row in (c @ Matrix._canonical(c.ring, q2, len(us), block)).entries:
+                    nonzero = list(map(or_, nonzero, image_row))
+            members += itertools.compress(us, map(not_, nonzero))
         return members
     if count * ring.size ** q1 > ORACLE_LIMIT:
         raise OracleTooLargeError(
@@ -323,8 +344,9 @@ def kernel_pair_oracle(a: Matrix, b: Matrix) -> Submodule:
 
 
 def _apply_to_basis(m: Matrix, sub: Submodule) -> Submodule:
-    cols = [m.matvec(v) for v in sub.basis.columns()]
-    return Submodule.from_columns(m.ring, m.nrows, cols)
+    """The image of ``sub`` under ``m`` over GF(p): the images of its basis,
+    canonical as every product returns them, in one echelon."""
+    return _echelon(m.ring, m.nrows, [m.matvec(v) for v in sub.basis.columns()])
 
 
 def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
@@ -336,18 +358,26 @@ def check_identities(a: Matrix, b: Matrix, psi1: Automorphism,
       (viii) ker(A Psi1 | B)  = ker(A|B)
       (ix)   ker(Psi A | B)   = ker(A | Psi^{-1} B)
 
-    Returns the list of violated clauses (empty when all hold).
+    Returns the list of violated clauses (empty when all hold).  Only
+    Psi1's matrix is read: no clause needs its inverse.  Every ker_bar
+    here is one nullspace (``_preimage``), so the check runs at most 10
+    eliminations over GF(p).
     """
     _check_pair(a, b)
     if psi1.n != a.ncols or psi2.n != b.ncols or psi.n != a.nrows:
         raise DimensionMismatchError("automorphism sizes do not match A, B")
-    return _identity_check(a, b)(psi1, psi2, psi)
+    return _identity_check(a, b)(psi1.matrix, psi2, psi)
 
 
 def _identity_check(a, b):
     """``check_identities`` for fixed A and B, as a function of (Psi1,
-    Psi2, Psi).  Im(A) is formed once for the base, (vi), (vii) and the
-    right side of (ix); (viii) and the left side of (ix) transform A."""
+    Psi2, Psi): Psi1 a plain invertible matrix, Psi2 and Psi
+    ``Automorphism``s, whose inverses (vii) and (ix) read.  Im(A) and the
+    base ker_bar are formed once (2 eliminations) for the base, (vi),
+    (vii) and the right side of (ix); (viii) and the left side of (ix)
+    transform A and form their own images.  A call then runs 8: four
+    ker_bar of one nullspace each, the two images of A, and the two
+    images of a basis under Psi2 and its inverse."""
     m = image(a).basis
     base = _preimage(m, b)
 
@@ -358,7 +388,7 @@ def _identity_check(a, b):
             out.append("(vii) ker(A | B Psi2) != Psi2^-1 ker(A|B)")
         if _apply_to_basis(psi2.matrix, twisted) != base or twisted.dim != base.dim:
             out.append("(vi) Psi2 does not carry ker(A | B Psi2) onto ker(A|B)")
-        if _ker_bar(a @ psi1.matrix, b) != base:
+        if _ker_bar(a @ psi1, b) != base:
             out.append("(viii) ker(A Psi1 | B) != ker(A|B)")
         if _ker_bar(psi.matrix @ a, b) != _preimage(m, psi.inverse @ b):
             out.append("(ix) ker(Psi A | B) != ker(A | Psi^-1 B)")

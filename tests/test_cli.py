@@ -732,6 +732,28 @@ def test_verify_catches_a_ker_bar_that_drops_a_column_of_b(monkeypatch):
     assert "automorphism-identities: FAIL" in text
 
 
+@pytest.mark.parametrize("name, row", [("gf5", "method-agreement"), ("zmod30", "oracle")])
+def test_verify_catches_a_u_part_that_drops_its_last_column(name, row, monkeypatch):
+    # ``_u_part`` is the one read of ker_bar off a nullspace, shared by the
+    # projection and the preimage ker_bar: with its last column dropped
+    # everywhere, the quotient ker_bar (GF(5)) and the oracle (Z/30) still
+    # disagree with them
+    import kerpair.kernel as kernel_mod
+
+    real = kernel_mod._u_part
+
+    def dropped(joint, q2):
+        sub = real(joint, q2)
+        cols = sub.basis.columns()[:-1]
+        return Submodule(sub.ring, q2, basis=Matrix.from_columns(sub.ring, cols, nrows=q2),
+                         pivot_rows=sub.pivot_rows[:-1])
+
+    monkeypatch.setattr(kernel_mod, "_u_part", dropped)
+    code, text = run_cli(["verify", str(GOLDEN_IN / f"{name}.txt"), "A", "B"])
+    assert code == 1
+    assert f"{row}: FAIL" in text
+
+
 def test_verify_catches_a_lift_with_the_next_idempotent(monkeypatch):
     from kerpair.rings import Split
 

@@ -37,7 +37,13 @@ from kerpair.cli import (
     parse_matrix_file,
 )
 from kerpair.crt import kernel_pair
-from kerpair.kernel import Automorphism, _project_u, check_identities, kernel_pair_projection
+from kerpair.kernel import (
+    Automorphism,
+    _preimage,
+    _project_u,
+    check_identities,
+    kernel_pair_projection,
+)
 from kerpair.linalg import random_invertible
 from kerpair.matrix import hstack
 
@@ -337,6 +343,41 @@ def test_kernel_pair_matches_reference_on_edge_shapes(p):
         assert holds(assert_kernel_pair_like_reference(a, b)), name
 
 
+def assert_preimage_like_reference(m, b):
+    """``_preimage``, ker_bar read off one nullspace of [B|M] by
+    ``_u_part``, equals the u-projection of ker [M|B] by a second
+    elimination, pivot rows included."""
+    got = _preimage(m, b)
+    ref = _project_u(nullspace(hstack(m, b)), m.ncols, b.ncols)
+    assert got == ref and got.pivot_rows == ref.pivot_rows
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ELIMINATION_PRIMES), st.data())
+def test_preimage_matches_reference(p, data):
+    """M drawn as any matrix, not only an image basis, so its columns may
+    be dependent or zero; 0 rows and 0 columns of either included."""
+    m = data.draw(matrices(p=p))
+    assert_preimage_like_reference(m, data.draw(matrices(p=p, nrows=m.nrows)))
+
+
+@pytest.mark.parametrize("p", ELIMINATION_PRIMES)
+def test_preimage_matches_reference_on_edge_shapes(p):
+    """An M with no columns, where ker_bar is ker B; and a B whose
+    kernel with M has no pivot among the u-rows: B is injective, Im B
+    meets Im M in 0, and M's two equal columns give ker [B|M] a vector
+    that is 0 in u, so ker_bar = 0 under a kernel that is not."""
+    ring = PrimeField(p)
+    b = Matrix(ring, 3, 2, [[1, 1], [1, 1], [0, 0]])
+    assert assert_preimage_like_reference(Matrix.zeros(ring, 3, 0), b) == nullspace(b)
+    b = Matrix(ring, 3, 2, [[1, 0], [0, 1], [0, 0]])
+    m = Matrix(ring, 3, 2, [[0, 0], [0, 0], [1, 1]])
+    joint = nullspace(hstack(b, m))
+    assert joint.dim == 1 and joint.pivot_rows[0] >= b.ncols
+    assert assert_preimage_like_reference(m, b).is_zero()
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("ncols", [0, 1, 5])
 def test_zero_rows(p, ncols):
@@ -526,8 +567,10 @@ def test_no_section_solve_when_ker_bar_is_zero(monkeypatch):
 
 def test_eliminations_per_identity_check(monkeypatch):
     """check_identities computes five ker_bar presentations, each one
-    nullspace, over three images (A once, A Psi1, Psi A); ker_f1 and the
-    joint kernel are not formed."""
+    nullspace of a [B | M] read off by ``_u_part``, over three images (A
+    once, A Psi1, Psi A), and two images of a basis under Psi2 and its
+    inverse: 10 eliminations (15 with a second elimination per ker_bar
+    for its u-projection); ker_f1 and the joint kernel are not formed."""
     rng = random.Random(5)
     ring = PrimeField(7)
     a = Matrix(ring, 5, 3, [[rng.randrange(7) for _ in range(3)] for _ in range(5)])
@@ -542,18 +585,20 @@ def test_eliminations_per_identity_check(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert check_identities(a, b, *psis) == []
-    assert len(calls) <= 17
+    assert len(calls) <= 10
 
 
 @pytest.mark.parametrize("ring", [PrimeField(7), ModRing(30)], ids=repr)
 def test_eliminations_per_automorphism_row(ring, monkeypatch):
     """verify's automorphism row forms Im(A) and the base ker_bar once
-    per local ring (3 eliminations) and then 15 per trial: three
-    Automorphism rrefs, four twisted ker_bar (two of them over that
-    Im(A), two forming the images of A Psi1 and Psi A) and two images
-    under Psi2.  The draws run none (GF(7) 5x(3+4), 5 trials: 78,
-    against 88 with an image of A per twisted ker_bar and 119 with the
-    rejection draws)."""
+    per local ring (2 eliminations) and then 10 per trial: the
+    Automorphism rrefs of Psi2 and Psi (Psi1 is drawn as a plain matrix,
+    since no clause reads its inverse), four twisted ker_bar of one
+    nullspace each (two of them over that Im(A), two forming the images
+    of A Psi1 and Psi A) and two images under Psi2.  The draws run none
+    (GF(7) 5x(3+4), 5 trials: 52, against 78 with Psi1's rref and a
+    second elimination per ker_bar, 88 with an image of A per twisted
+    ker_bar too and 119 with the rejection draws)."""
     import kerpair.cli as cli_mod
 
     rng = random.Random(5)
@@ -577,14 +622,15 @@ def test_eliminations_per_automorphism_row(ring, monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted)
     monkeypatch.setattr(cli_mod, "random_invertible", draw)
     assert _each_local(_automorphism_identities)(c) == []
-    assert len(calls) <= len(c.locals) * (3 + 15 * 5)
+    assert len(calls) <= len(c.locals) * (2 + 10 * 5)
     assert not any(calls)
 
 
 def test_eliminations_per_method_agreement(monkeypatch):
     """verify's method-agreement row forms the preimage and quotient
-    ker_bar alone: 3 eliminations for the preimage (image, nullspace,
-    projection), 2 for the quotient (rref, nullspace)."""
+    ker_bar alone: 2 eliminations for the preimage (image, nullspace,
+    whose u-part is read with no projection), 2 for the quotient (rref,
+    nullspace)."""
     ring, matrices = parse_matrix_file(
         (Path(__file__).resolve().parent / "golden" / "in" / "gf5.txt").read_text())
     c = _Instance(matrices["A"], matrices["B"], random.Random(0), 1)
@@ -597,7 +643,7 @@ def test_eliminations_per_method_agreement(monkeypatch):
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     assert _method_agreement(c) == []
-    assert len(calls) <= 5
+    assert len(calls) <= 4
 
 
 def test_kernel_pair_200x300_is_fast():

@@ -225,6 +225,26 @@ def test_oracle_z30_worked_example():
     assert span_elements(sub) == set(members)
 
 
+@pytest.mark.parametrize("ring, rows, empty, member", [
+    (ModRing(30), [[1, 0], [0, 1]], (2, 3, 5), lambda u: True),
+    (ModRing(30), [[1, 0], [0, 15]], (2,), lambda u: (u[0] + 2 * u[1]) % 15 == 0),
+    (PrimeField(7), [[1, 0], [0, 1]], (7,), lambda u: True),
+], ids=["Z/30-every-C-empty", "Z/30-C-empty-mod-2", "GF(7)-C-empty"])
+def test_oracle_where_a_quotient_map_is_empty(ring, rows, empty, member):
+    """Where A has full row rank mod p its quotient map C has no rows and
+    puts no condition on a candidate at p; where every C is empty every
+    candidate is a member.  B's second row asks u1 + 2 u2 = 0 at every
+    prime where A's second row vanishes."""
+    a = Matrix(ring, 2, 2, rows)
+    b = Matrix(ring, 2, 2, [[3, 6], [1, 2]])
+    locals_ = [a] if isinstance(ring, PrimeField) else [
+        split_ring(ring).reduce_matrix(a, i) for i in range(3)]
+    assert tuple(ai.ring.p for ai in locals_ if not quotient_map(ai).matrix.nrows) == empty
+    candidates = list(itertools.product(range(ring.size), repeat=2))
+    assert admissible_set(a, b) == list(filter(member, candidates))
+    assert kernel_pair_oracle(a, b) == kernel_of_pair(a, b).ker_bar
+
+
 def test_admissible_set_non_square_free():
     # per-prime solvability lies here: 4x = 2 mod 8 has no solution even
     # though 0x = 0 mod 2 does, so the full (x,u) search is required
